@@ -33,6 +33,16 @@ sockaddr_in LoopbackAddr(int port) {
   return addr;
 }
 
+/// Disables Nagle's algorithm on a connected socket. Every firehose
+/// protocol is request/response with client-side write coalescing, so
+/// the only segment Nagle would ever hold back is the trailing partial
+/// one before a barrier — and holding it waits out the peer's ≈40 ms
+/// delayed ACK on every Flush, Poll and HTTP request.
+void SetNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// poll() one fd for `events`, retrying EINTR against the remaining
 /// deadline. Returns >0 ready, 0 timeout, <0 hard error.
 int PollFd(int fd, short events, int timeout_ms) {
@@ -90,7 +100,10 @@ OwnedFd AcceptWithTimeout(int listen_fd, int timeout_ms) {
         PollFd(listen_fd, POLLIN, static_cast<int>(remaining));
     if (ready <= 0) return OwnedFd();  // timeout or listener gone
     const int conn = ::accept(listen_fd, nullptr, nullptr);
-    if (conn >= 0) return OwnedFd(conn);
+    if (conn >= 0) {
+      SetNoDelay(conn);
+      return OwnedFd(conn);
+    }
     // EINTR: retry within the deadline. ECONNABORTED/EAGAIN: the pending
     // client vanished between poll and accept — wait for the next one.
     if (errno != EINTR && errno != ECONNABORTED && errno != EAGAIN &&
@@ -104,6 +117,7 @@ OwnedFd ConnectLoopback(int port, int io_timeout_ms) {
   OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return OwnedFd();
   if (io_timeout_ms > 0) SetIoTimeouts(fd.get(), io_timeout_ms, io_timeout_ms);
+  SetNoDelay(fd.get());
   sockaddr_in addr = LoopbackAddr(port);
   for (;;) {
     if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),

@@ -156,9 +156,21 @@ class ShardWorker {
 
   /// Dispatcher-side handle (single producer) --------------------------
 
+  /// Enqueues `cmd` (sleep-spinning while the queue is full), then wakes
+  /// the worker if it is parked. The fence pairs with the one in Park():
+  /// either this load sees `parked_` set, or the worker's predicate sees
+  /// the pushed command, so a wakeup cannot be lost. A busy worker is
+  /// never parked, so the common case costs a fence and a load, no
+  /// syscall. The notify runs under the park mutex: the worker holds it
+  /// from setting `parked_` until the wait releases it.
   void PushBlocking(const ShardCmd& cmd) {
     while (!queue_.TryPush(cmd)) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst)) {
+      std::lock_guard<std::mutex> lock(park_mu_);
+      park_cv_.notify_one();
     }
   }
 
@@ -312,6 +324,17 @@ class ShardWorker {
     ingested_.fetch_add(posts.size(), std::memory_order_seq_cst);
   }
 
+  /// Blocks until the queue is non-empty. `parked_` is set and fenced
+  /// before the predicate's first look at the queue (see PushBlocking).
+  /// There is no timeout: a lost wakeup must hang, not hide as latency.
+  void Park() FIREHOSE_RUNS_ON(shard_worker) {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    parked_.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    park_cv_.wait(lock, [this] { return !queue_.Empty(); });
+    parked_.store(false, std::memory_order_seq_cst);
+  }
+
   void Loop() FIREHOSE_RUNS_ON(shard_worker) {
     const int watchdog_task =
         options_.watchdog != nullptr
@@ -327,7 +350,7 @@ class ShardWorker {
         if (watchdog_task >= 0) {
           options_.watchdog->SetQueueDepth(watchdog_task, 0);
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        Park();
         continue;
       }
       ++processed;
@@ -433,6 +456,11 @@ class ShardWorker {
   SpscQueue<ShardCmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
   std::thread thread_;
+
+  // Park/wake handshake between the dispatcher and an idle worker.
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::atomic<bool> parked_{false};
 
   std::atomic<uint64_t> ingested_{0};
   std::atomic<uint64_t> duplicates_{0};

@@ -56,6 +56,14 @@ class SpscQueue {
     return true;
   }
 
+  /// True when nothing is queued. Exact on the consumer thread: only
+  /// the consumer empties the queue, so a false answer stays false until
+  /// its next TryPop.
+  bool Empty() const {
+    return tail_.load(std::memory_order_relaxed) ==
+           head_.load(std::memory_order_acquire);
+  }
+
   /// Racy size estimate (monitoring only). Loads `tail_` before `head_`
   /// and clamps: with the opposite order the consumer can advance the
   /// tail between the two loads and `head - tail` underflows to a value

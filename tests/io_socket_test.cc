@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <string>
 #include <thread>
 
@@ -59,6 +63,21 @@ TEST(IoSocketTest, AcceptTimesOutWithoutAClient) {
   ASSERT_TRUE(listener.valid());
   const OwnedFd none = AcceptWithTimeout(listener.get(), /*timeout_ms=*/50);
   EXPECT_FALSE(none.valid());
+}
+
+int NoDelayOf(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(IoSocketTest, ConnectedAndAcceptedSocketsDisableNagle) {
+  // Without TCP_NODELAY the trailing partial segment before every
+  // request/response barrier waits out the peer's delayed ACK.
+  LoopbackPair pair = MakePair();
+  EXPECT_EQ(NoDelayOf(pair.client.get()), 1);
+  EXPECT_EQ(NoDelayOf(pair.server.get()), 1);
 }
 
 TEST(IoSocketTest, EchoRoundTrip) {

@@ -3,14 +3,17 @@
 // The core property is exactness — for any shard count, the timelines
 // served over the socket equal the sequential S_* engine's per-user
 // deliveries byte for byte — plus durability (graceful stop, restart,
-// resend, dedupe) and protocol error handling.
+// resend, dedupe), idle shard workers parking and waking without a
+// lost wakeup, and protocol error handling.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/firehose.h"
@@ -74,10 +77,15 @@ class NetServeTest : public ::testing::Test {
     workload_ = MakeWorkload();
     ASSERT_GT(workload_.users.size(), 50u);
     ASSERT_GT(workload_.stream.size(), 300u);
-    std::filesystem::remove_all(kDataDir);
+    // One directory per test: ctest runs each TEST as its own process,
+    // in parallel, so a shared name lets one test's cleanup delete
+    // another's WAL.
+    data_dir_ = std::string("net_serve_test_data_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(data_dir_);
   }
 
-  void TearDown() override { std::filesystem::remove_all(kDataDir); }
+  void TearDown() override { std::filesystem::remove_all(data_dir_); }
 
   /// Follows + seals the §6.3 population through `client`.
   void SealUsers(ServeClient& client) {
@@ -115,7 +123,84 @@ class NetServeTest : public ::testing::Test {
     return options;
   }
 
-  static constexpr const char* kDataDir = "net_serve_test_data";
+  /// Alternates Poll and Flush round trips, each after an idle gap in
+  /// which every worker drains its queue and parks, so each barrier (and
+  /// the posts trickled in ahead of it) must wake parked workers. A lost
+  /// wakeup fails the round trip at the client's response timeout and
+  /// then hangs Stop().
+  void AlternatePollAndFlushAcrossIdleGaps(uint32_t num_shards) {
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+
+    const auto expected = ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                            DiversityThresholds{});
+    std::map<PostId, size_t> position;
+    for (size_t i = 0; i < workload_.stream.size(); ++i) {
+      position[workload_.stream[i].id] = i;
+    }
+
+    constexpr size_t kRoundTrips = 2000;
+    size_t sent = 0;
+    uint64_t last_ingested = 0;
+    for (size_t i = 0; i < kRoundTrips; ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      const size_t target = workload_.stream.size() * (i + 1) / kRoundTrips;
+      for (; sent < target; ++sent) {
+        ASSERT_TRUE(client.SendPost(workload_.stream[sent]))
+            << client.last_error();
+      }
+      if (i % 2 == 0) {
+        uint64_t ingested = 0;
+        uint64_t duplicates = 0;
+        ASSERT_TRUE(client.Flush(&ingested, &duplicates))
+            << client.last_error() << " at round trip " << i;
+        EXPECT_GE(ingested, last_ingested);
+        EXPECT_EQ(duplicates, 0u);
+        last_ingested = ingested;
+        continue;
+      }
+      // Timelines append in post order, so after `sent` posts a user's
+      // timeline is the prefix of the final one drawn from those posts.
+      const User& user = workload_.users[(i / 2) % workload_.users.size()];
+      std::vector<PostId> want;
+      for (PostId id : expected[user.id]) {
+        if (position.at(id) < sent) want.push_back(id);
+      }
+      std::vector<PostId> served;
+      ASSERT_TRUE(client.Poll(user.id, 0, &served))
+          << client.last_error() << " at round trip " << i;
+      ASSERT_EQ(served, want) << "user " << user.id << " after " << sent
+                              << " posts";
+    }
+    ASSERT_EQ(sent, workload_.stream.size());
+    ExpectServedTimelinesMatch(client, expected);
+    client.Disconnect();
+    server.Stop();
+    EXPECT_EQ(server.stats().posts_received, workload_.stream.size());
+  }
+
+  /// Stops a sealed server whose workers have all parked: the kStop
+  /// command must wake each one, or Stop() hangs in Join.
+  void StopWhileEveryWorkerIsParked(uint32_t num_shards) {
+    Server server(Options(num_shards), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    {
+      ServeClient client;
+      ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+      SealUsers(client);
+      ASSERT_TRUE(client.Flush()) << client.last_error();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    server.Stop();
+    EXPECT_EQ(server.stats().posts_ingested, 0u);
+  }
+
+  std::string data_dir_;
   Workload workload_;
 };
 
@@ -166,7 +251,7 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   uint64_t first_ingested = 0;
   {
-    Server server(Options(2, kDataDir), &workload_.graph);
+    Server server(Options(2, data_dir_), &workload_.graph);
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
     ServeClient client;
@@ -185,7 +270,7 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   // Second incarnation over the same data_dir: recovers the sealed
   // subscription state and every durable post, so the full resend is
   // entirely duplicates and the timelines don't change.
-  Server server(Options(2, kDataDir), &workload_.graph);
+  Server server(Options(2, data_dir_), &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   EXPECT_TRUE(server.sealed()) << "seal record not recovered";
@@ -210,6 +295,22 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   ExpectServedTimelinesMatch(client, expected);
   client.Disconnect();
   server.Stop();
+}
+
+TEST_F(NetServeTest, ParkedWorkerWakesForEveryRoundTripOneShard) {
+  AlternatePollAndFlushAcrossIdleGaps(1);
+}
+
+TEST_F(NetServeTest, ParkedWorkerWakesForEveryRoundTripThreeShards) {
+  AlternatePollAndFlushAcrossIdleGaps(3);
+}
+
+TEST_F(NetServeTest, StopWakesParkedWorkersOneShard) {
+  StopWhileEveryWorkerIsParked(1);
+}
+
+TEST_F(NetServeTest, StopWakesParkedWorkersThreeShards) {
+  StopWhileEveryWorkerIsParked(3);
 }
 
 TEST_F(NetServeTest, PollSinceReturnsTheSuffix) {
