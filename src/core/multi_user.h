@@ -120,7 +120,7 @@ std::unique_ptr<MultiUserEngine> MakeMUserEngine(Algorithm algorithm,
 /// component is delivered to every user owning that component. Because
 /// every G_i is an induced subgraph of the same global G, identical author
 /// sets imply identical subgraphs, so per-user outputs equal the M_*
-/// outputs exactly.
+/// outputs exactly. The engine is one ComponentSet over every component.
 std::unique_ptr<MultiUserEngine> MakeSUserEngine(Algorithm algorithm,
                                                  const DiversityThresholds& t,
                                                  const AuthorGraph& graph,

@@ -28,6 +28,7 @@
 #include "src/core/diversifier.h"
 #include "src/core/engine.h"
 #include "src/core/lagged.h"
+#include "src/core/component_set.h"
 #include "src/core/multi_user.h"
 #include "src/core/thresholds.h"
 #include "src/dur/checkpoint.h"

@@ -37,7 +37,8 @@ struct ServeOptions {
   std::string data_dir;
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
 
-  uint32_t vnodes_per_shard = 64;
+  /// Virtual nodes per shard on the placement ring (not settable).
+  static constexpr uint32_t vnodes_per_shard = 64;
 
   /// Optional introspection hooks. `debug` receives periodic /varz +
   /// /statusz publications from the dispatcher; `watchdog` gets one task
@@ -50,14 +51,12 @@ struct ServeOptions {
   /// raise SIGKILL after this many kPost messages received; 0 = off.
   uint64_t crash_after_posts = 0;
 
-  /// Maximum consecutive kPost commands a shard worker folds into one
-  /// ingest epoch: the run is WAL-appended together, offered through
-  /// OfferBatch per component, and counted with one atomic update. A
-  /// control command arriving mid-run ends the batch and executes after
-  /// it (kStop included — queued posts are never dropped). Timelines,
-  /// dedupe and recovery semantics are identical to per-post ingest;
-  /// 1 disables batching.
-  size_t ingest_batch_max = 64;
+  /// Most consecutive kPost commands a shard worker folds into one
+  /// Ingest call (not settable): the run is WAL-appended, decided by one
+  /// ComponentSet::OfferBatch and counted with one atomic update. A
+  /// control command arriving mid-run ends the run and executes after it
+  /// (kStop included — queued posts are never dropped).
+  static constexpr size_t ingest_batch_max = 64;
 };
 
 /// Monitoring snapshot; counters are cumulative since Start (recovered
@@ -73,17 +72,17 @@ struct ServeStats {
 };
 
 /// The networked serving layer (DESIGN.md §4i): an ingest/delivery
-/// service wrapping the S_* shared-component engine of the in-process
-/// sharded pipeline.
+/// service over the S_* engine's component runtime (ComponentSet).
 ///
 /// Threading: one dispatcher thread owns the listening socket and serves
 /// one connection at a time (the protocol is client-driven and the
 /// loadgen is a single client; this is a reproduction testbed, not a
 /// production frontend). The dispatcher is the single producer of every
-/// shard's SpscQueue<ShardCmd>; each shard worker thread is the single
-/// consumer of its own queue and exclusively owns its components,
-/// diversifiers, timelines and WAL — the same thread-confinement
-/// contract as RunShardedSUser, extended to long-lived workers.
+/// shard's SpscQueue<ShardCmd>. A shard is queue + WAL + ComponentSet +
+/// timelines: its worker thread is the single consumer of its own queue
+/// and exclusively owns the rest, and every run of queued posts goes
+/// through one Ingest path (WAL append, OfferBatch, timeline push) that
+/// WAL recovery replays through too.
 ///
 /// Placement: shared components (never single authors) are placed on
 /// shards by consistent hashing of their sorted author set, so a

@@ -1,11 +1,11 @@
 #include "src/runtime/sharded.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 
-#include "src/author/clique_cover.h"
+#include "src/core/component_set.h"
 #include "src/obs/clock.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/timer.h"
@@ -14,34 +14,20 @@ namespace firehose {
 
 namespace {
 
-/// One shard's share of the work: a subset of components with their own
-/// diversifiers, scanned over the whole stream. All observability state
+/// One shard's share of the work: the components it owns, in one
+/// ComponentSet, decided over the whole stream. All observability state
 /// is shard-private; the main thread merges it after the join.
 struct Shard {
-  // Heap-allocated and never moved after Init: `diversifier` keeps a
-  // pointer into `graph`/`cover`, so the component's address must be
-  // stable (mirrors OwnedDiversifier's deleted move in multi_user.cc).
-  struct ShardComponent {
-    std::vector<AuthorId> authors;  // sorted
-    std::vector<UserId> users;
-    AuthorGraph graph;
-    std::unique_ptr<CliqueCover> cover;
-    std::unique_ptr<Diversifier> diversifier;
+  explicit Shard(ComponentSet components) : set(std::move(components)) {}
 
-    ShardComponent() = default;
-    ShardComponent(ShardComponent&&) = delete;
-  };
-  std::vector<std::unique_ptr<ShardComponent>> components;
-  // author -> indices into `components` (only this shard's).
-  std::vector<std::vector<uint32_t>> author_components;
   // Everything below is written only by this shard's worker thread
   // between spawn and join; the main thread merges after the join. No
   // locks by design — the annotations record the confinement contract,
   // enforced statically by the thread-confinement pass (and dynamically
   // by the tsan preset).
+  ComponentSet set FIREHOSE_THREAD_OWNED(shard_worker);
   std::vector<std::pair<PostId, UserId>> deliveries
       FIREHOSE_THREAD_OWNED(shard_worker);
-  uint64_t posts_in FIREHOSE_THREAD_OWNED(shard_worker) = 0;
   obs::MetricsRegistry metrics
       FIREHOSE_THREAD_OWNED(shard_worker);  // merged in shard order
   LatencyRecorder latency FIREHOSE_THREAD_OWNED(shard_worker);
@@ -56,6 +42,7 @@ struct Shard {
     // depth > 0 with a frozen scan position is exactly a wedged worker.
     const int watchdog_task =
         o.watchdog != nullptr ? o.watchdog->RegisterTask("shard") : -1;
+    std::vector<MultiUserEngine::BatchDelivery> batch;
     size_t scanned = 0;
     for (const Post& post : stream) {
       ++scanned;
@@ -64,27 +51,20 @@ struct Shard {
         o.watchdog->SetQueueDepth(
             watchdog_task, static_cast<int64_t>(stream.size() - scanned));
       }
-      if (post.author >= author_components.size()) continue;
-      for (uint32_t index : author_components[post.author]) {
-        ShardComponent& c = *components[index];
-        ++posts_in;
-        const uint64_t start = clock.NowNanos();
-        const bool admitted = c.diversifier->Offer(post);
-        const uint64_t end = clock.NowNanos();
-        latency.RecordNanos(end - start);
-        if (o.flight != nullptr) {
-          o.flight->RecordComplete(shard_index, "offer", "shard", start, end);
-        }
-        if (admitted) {
-          for (UserId user : c.users) deliveries.emplace_back(post.id, user);
-        }
+      const uint64_t start = clock.NowNanos();
+      set.OfferBatch(std::span<const Post>(&post, 1), &batch);
+      const uint64_t end = clock.NowNanos();
+      latency.RecordNanos(end - start);
+      if (o.flight != nullptr) {
+        o.flight->RecordComplete(shard_index, "decide", "shard", start, end);
+      }
+      for (const MultiUserEngine::BatchDelivery& d : batch) {
+        deliveries.emplace_back(post.id, d.user);
       }
     }
     if (watchdog_task >= 0) o.watchdog->SetQueueDepth(watchdog_task, 0);
-    for (const auto& c : components) {
-      stats.MergeFrom(c->diversifier->stats());
-    }
-    metrics.GetCounter("sharded.posts_in")->Add(posts_in);
+    stats = set.AggregateStats();
+    metrics.GetCounter("sharded.posts_in")->Add(stats.posts_in);
     metrics.GetCounter("sharded.comparisons")->Add(stats.comparisons);
     metrics.GetCounter("sharded.candidates_pruned")->Add(stats.pruned);
     metrics.GetCounter("sharded.insertions")->Add(stats.insertions);
@@ -108,35 +88,21 @@ ShardedRunResult RunShardedSUser(
       o.clock != nullptr ? *o.clock : *obs::RealClock();
 
   // Partition the distinct components round-robin across shards.
-  std::vector<Shard> shards(static_cast<size_t>(result.num_shards));
-  AuthorId max_author = 0;
+  std::vector<std::vector<SharedComponent>> owned(
+      static_cast<size_t>(result.num_shards));
   {
     size_t next = 0;
     for (SharedComponent& shared :
          ComputeSharedComponents(thresholds, graph, users)) {
-      Shard& shard = shards[next % shards.size()];
-      ++next;
-      shard.components.push_back(std::make_unique<Shard::ShardComponent>());
-      Shard::ShardComponent& c = *shard.components.back();
-      c.authors = std::move(shared.authors);
-      c.users = std::move(shared.users);
-      c.graph = graph.InducedSubgraph(c.authors);
-      if (algorithm == Algorithm::kCliqueBin) {
-        obs::TraceScope cover_span(o.trace, "CliqueCover::Greedy", "cover");
-        c.cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(c.graph));
-      }
-      c.diversifier = MakeDiversifier(algorithm, shared.thresholds, &c.graph,
-                                      c.cover.get());
-      for (AuthorId a : c.authors) max_author = std::max(max_author, a);
+      owned[next++ % owned.size()].push_back(std::move(shared));
     }
-    for (Shard& shard : shards) {
-      shard.author_components.assign(static_cast<size_t>(max_author) + 1, {});
-      for (uint32_t i = 0; i < shard.components.size(); ++i) {
-        for (AuthorId a : shard.components[i]->authors) {
-          shard.author_components[a].push_back(i);
-        }
-      }
-    }
+  }
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.reserve(owned.size());
+  for (uint32_t s = 0; s < owned.size(); ++s) {
+    obs::TraceScope build_span(o.trace, "ComponentSet", "build", s);
+    shards.push_back(std::make_unique<Shard>(
+        ComponentSet(algorithm, graph, std::move(owned[s]))));
   }
 
   // Components never interact, so shards run lock-free over the shared
@@ -144,12 +110,12 @@ ShardedRunResult RunShardedSUser(
   // S_* deliveries.
   WallTimer timer;
   if (shards.size() == 1) {
-    shards[0].Run(stream, clock, o, 0);
+    shards[0]->Run(stream, clock, o, 0);
   } else {
     std::vector<std::thread> workers;
     workers.reserve(shards.size());
     for (uint32_t s = 0; s < shards.size(); ++s) {
-      Shard& shard = shards[s];
+      Shard& shard = *shards[s];
       workers.emplace_back([&shard, &stream, &clock, &o, s] {
         shard.Run(stream, clock, o, s);
       });
@@ -163,14 +129,14 @@ ShardedRunResult RunShardedSUser(
   LatencyRecorder merged_latency;
   std::vector<std::pair<PostId, UserId>> merged;
   result.shard_stats.reserve(shards.size());
-  for (Shard& shard : shards) {
-    result.posts_in += shard.posts_in;
-    result.stats.MergeFrom(shard.stats);
-    result.shard_stats.push_back(shard.stats);
-    merged_latency.MergeFrom(shard.latency);
-    if (o.metrics != nullptr) o.metrics->MergeFrom(shard.metrics);
-    merged.insert(merged.end(), shard.deliveries.begin(),
-                  shard.deliveries.end());
+  for (const std::unique_ptr<Shard>& shard : shards) {
+    result.posts_in += shard->stats.posts_in;
+    result.stats.MergeFrom(shard->stats);
+    result.shard_stats.push_back(shard->stats);
+    merged_latency.MergeFrom(shard->latency);
+    if (o.metrics != nullptr) o.metrics->MergeFrom(shard->metrics);
+    merged.insert(merged.end(), shard->deliveries.begin(),
+                  shard->deliveries.end());
   }
   result.decision_latency = merged_latency.Summarize();
   std::sort(merged.begin(), merged.end());

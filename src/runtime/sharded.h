@@ -15,16 +15,18 @@ namespace firehose {
 /// Result of a sharded M-SPSD run.
 struct ShardedRunResult {
   double wall_ms = 0.0;
-  uint64_t posts_in = 0;       ///< offers summed over all shards
+  uint64_t posts_in = 0;       ///< component offers summed over all shards
   uint64_t deliveries = 0;     ///< (post, user) deliveries
   int num_shards = 0;
-  /// Ingest counters merged over shards in shard order. Shards run
+  /// Ingest counters merged over shards in shard order. Each shard's
+  /// `peak_bytes` is its own concurrent high-water; shards run
   /// concurrently, so `stats.sum_peak_bytes` (not the max-of-peaks in
   /// `stats.peak_bytes`) is the engine-wide resident high-water bound.
   IngestStats stats;
   std::vector<IngestStats> shard_stats;  ///< per shard, in shard order
-  /// Per-offer decision latency, merged from the per-shard recorders via
-  /// LatencyRecorder::MergeFrom in shard order (count == posts_in).
+  /// Per-post decide latency, one sample per (shard, stream post),
+  /// merged from the per-shard recorders via LatencyRecorder::MergeFrom
+  /// in shard order (count == num_shards × stream size).
   LatencySummary decision_latency;
 };
 
@@ -34,24 +36,28 @@ struct ShardedRunResult {
 /// per-component diversifiers shard across threads with exact,
 /// deterministic equivalence to the sequential S_* engine.
 ///
+/// Each shard is one ComponentSet — the same component runtime as the
+/// sequential S_* engine and a serve shard — built from the components
+/// it owns (round-robin by component discovery order), plus a thread.
+/// Every shard decides the whole shared read-only stream post by post;
+/// posts by authors it does not own route nowhere.
+/// Deliveries are merged and returned sorted by (post, user), which
+/// equals the sequential engine's delivery multiset.
+///
 /// When `o.watchdog` is set each worker registers a "shard" task and
 /// reports scan progress plus the undrained stream suffix as its queue
-/// depth; `o.flight` records per-offer spans with tid = shard index.
-///
-/// Each shard owns a subset of the distinct components (round-robin by
-/// component discovery order) and scans the shared read-only stream,
-/// offering each post to its own components only. Deliveries are merged
-/// and returned sorted by (post, user), which equals the sequential
-/// engine's delivery multiset.
+/// depth; `o.flight` records one "decide" span per post with tid =
+/// shard index.
 ///
 /// `num_shards <= 1` degenerates to a sequential pass (no threads).
 ///
 /// Observability: every shard owns a private obs::MetricsRegistry and
 /// LatencyRecorder (no cross-thread metric writes); after the join they
 /// merge into `o.metrics` in shard order, so counters are deterministic
-/// for a fixed shard count. `o.trace` (thread-safe) gets one scan span
-/// per shard with tid = shard index. `o.clock` must be thread-safe when
-/// `num_shards > 1` (the default monotonic clock is; ManualClock is not).
+/// for a fixed shard count. `o.trace` (thread-safe) gets one build span
+/// and one scan span per shard with tid = shard index. `o.clock` must be
+/// thread-safe when `num_shards > 1` (the default monotonic clock is;
+/// ManualClock is not).
 ShardedRunResult RunShardedSUser(
     Algorithm algorithm, const DiversityThresholds& thresholds,
     const AuthorGraph& graph, const std::vector<User>& users,

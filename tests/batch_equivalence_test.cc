@@ -250,8 +250,11 @@ TEST_P(BatchEquivalenceTest, MultiUserEnginesMatchPerPostOffer) {
       }
 
       ASSERT_EQ(single_deliveries, batch_deliveries) << label;
-      ExpectStatsEqual(single->AggregateStats(), batched->AggregateStats(),
-                       label);
+      const IngestStats single_stats = single->AggregateStats();
+      const IngestStats batched_stats = batched->AggregateStats();
+      ExpectStatsEqual(single_stats, batched_stats, label);
+      // OfferBatch keeps Offer's per-post peak-memory accounting.
+      EXPECT_EQ(single_stats.peak_bytes, batched_stats.peak_bytes) << label;
     }
   }
 }

@@ -224,8 +224,15 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineOneShard) {
   server.Stop();
 }
 
-TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
-  Server server(Options(3), &workload_.graph);
+class NetServeAlgorithmTest
+    : public NetServeTest,
+      public ::testing::WithParamInterface<Algorithm> {};
+
+TEST_P(NetServeAlgorithmTest, ServedTimelinesEqualSequentialEngineThreeShards) {
+  const Algorithm algorithm = GetParam();
+  ServeOptions options = Options(3);
+  options.algorithm = algorithm;
+  Server server(options, &workload_.graph);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -237,16 +244,26 @@ TEST_F(NetServeTest, ServedTimelinesEqualSequentialEngineThreeShards) {
   SealUsers(client);
   SendStream(client);
   const auto expected =
-      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
+      ExpectedTimelines(workload_, algorithm, DiversityThresholds{});
   ExpectServedTimelinesMatch(client, expected);
   client.Disconnect();
   server.Stop();
 
+  uint64_t expected_deliveries = 0;
+  for (const std::vector<PostId>& timeline : expected) {
+    expected_deliveries += timeline.size();
+  }
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.posts_received, workload_.stream.size());
   EXPECT_EQ(stats.duplicates, 0u);
-  EXPECT_GT(stats.deliveries, 0u);
+  EXPECT_EQ(stats.deliveries, expected_deliveries);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, NetServeAlgorithmTest, ::testing::ValuesIn(kAllAlgorithms),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      return std::string(AlgorithmName(info.param));
+    });
 
 TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   uint64_t first_ingested = 0;
