@@ -5,8 +5,6 @@
 
 namespace firehose {
 
-const std::vector<CliqueId> CliqueCover::kNoCliques;
-
 namespace {
 
 uint64_t EdgeKey(AuthorId a, AuthorId b) {
@@ -68,23 +66,17 @@ CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
           covered.insert(EdgeKey(clique[i], clique[j]));
         }
       }
-      const CliqueId id = static_cast<CliqueId>(cover.cliques_.size());
-      for (AuthorId member : clique) {
-        cover.author_to_cliques_[member].push_back(id);
-      }
       cover.cliques_.push_back(std::move(clique));
     }
   }
 
-  // Singleton cliques for vertices covered by no clique, so same-author
-  // posts of isolated authors can still cover each other.
+  // Singleton cliques for vertices covered by no clique (exactly the
+  // isolated ones: every edge is covered), so same-author posts of
+  // isolated authors can still cover each other.
   for (AuthorId a : graph.vertices()) {
-    if (cover.author_to_cliques_.find(a) == cover.author_to_cliques_.end()) {
-      const CliqueId id = static_cast<CliqueId>(cover.cliques_.size());
-      cover.author_to_cliques_[a].push_back(id);
-      cover.cliques_.push_back({a});
-    }
+    if (graph.Neighbors(a).empty()) cover.cliques_.push_back({a});
   }
+  cover.IndexAuthors(graph.vertices());
   return cover;
 }
 
@@ -93,13 +85,38 @@ CliqueCover CliqueCover::FromCliques(
   CliqueCover cover;
   cover.num_authors_ = num_authors;
   cover.cliques_ = std::move(cliques);
-  for (size_t i = 0; i < cover.cliques_.size(); ++i) {
-    std::sort(cover.cliques_[i].begin(), cover.cliques_[i].end());
-    for (AuthorId member : cover.cliques_[i]) {
-      cover.author_to_cliques_[member].push_back(static_cast<CliqueId>(i));
+  std::vector<AuthorId> authors;
+  for (std::vector<AuthorId>& clique : cover.cliques_) {
+    std::sort(clique.begin(), clique.end());
+    authors.insert(authors.end(), clique.begin(), clique.end());
+  }
+  std::sort(authors.begin(), authors.end());
+  authors.erase(std::unique(authors.begin(), authors.end()), authors.end());
+  cover.IndexAuthors(std::move(authors));
+  return cover;
+}
+
+void CliqueCover::IndexAuthors(std::vector<AuthorId> authors) {
+  authors_ = std::move(authors);
+  auto index_of = [this](AuthorId a) {
+    return static_cast<size_t>(
+        std::lower_bound(authors_.begin(), authors_.end(), a) -
+        authors_.begin());
+  };
+  // Counting sort by author; visiting cliques in id order keeps each
+  // author's list ascending.
+  offsets_.assign(authors_.size() + 1, 0);
+  for (const auto& clique : cliques_) {
+    for (AuthorId member : clique) ++offsets_[index_of(member) + 1];
+  }
+  for (size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
+  clique_ids_.resize(offsets_.back());
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (size_t id = 0; id < cliques_.size(); ++id) {
+    for (AuthorId member : cliques_[id]) {
+      clique_ids_[next[index_of(member)]++] = static_cast<CliqueId>(id);
     }
   }
-  return cover;
 }
 
 bool CliqueCover::IsValidFor(const AuthorGraph& graph) const {
@@ -121,19 +138,18 @@ bool CliqueCover::IsValidFor(const AuthorGraph& graph) const {
   return true;
 }
 
-const std::vector<CliqueId>& CliqueCover::CliquesOf(AuthorId author) const {
-  auto it = author_to_cliques_.find(author);
-  return it == author_to_cliques_.end() ? kNoCliques : it->second;
+std::span<const CliqueId> CliqueCover::CliquesOf(AuthorId author) const {
+  const auto it = std::lower_bound(authors_.begin(), authors_.end(), author);
+  if (it == authors_.end() || *it != author) return {};
+  const size_t i = static_cast<size_t>(it - authors_.begin());
+  return std::span<const CliqueId>(clique_ids_)
+      .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
 }
 
 double CliqueCover::AvgCliquesPerAuthor() const {
   if (num_authors_ == 0) return 0.0;
-  uint64_t total = 0;
-  for (const auto& [author, ids] : author_to_cliques_) {
-    (void)author;
-    total += ids.size();
-  }
-  return static_cast<double>(total) / static_cast<double>(num_authors_);
+  return static_cast<double>(clique_ids_.size()) /
+         static_cast<double>(num_authors_);
 }
 
 double CliqueCover::AvgCliqueSize() const {
@@ -153,11 +169,9 @@ size_t CliqueCover::ApproxBytes() const {
   for (const auto& clique : cliques_) {
     bytes += clique.capacity() * sizeof(AuthorId) + sizeof(clique);
   }
-  for (const auto& [author, ids] : author_to_cliques_) {
-    (void)author;
-    bytes += ids.capacity() * sizeof(CliqueId) + sizeof(ids) +
-             sizeof(AuthorId) + sizeof(void*);
-  }
+  bytes += authors_.capacity() * sizeof(AuthorId) +
+           offsets_.capacity() * sizeof(uint32_t) +
+           clique_ids_.capacity() * sizeof(CliqueId);
   return bytes;
 }
 

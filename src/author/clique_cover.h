@@ -2,7 +2,7 @@
 #define FIREHOSE_AUTHOR_CLIQUE_COVER_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/author/similarity_graph.h"
@@ -12,7 +12,7 @@ namespace firehose {
 /// Identifier of a clique within a CliqueCover.
 using CliqueId = uint32_t;
 
-/// A clique edge cover of an author similarity graph plus the
+/// A clique edge cover of an author similarity graph plus the flat
 /// Author2Cliques map (paper §4.3). Every edge of the graph lies in at
 /// least one clique; every vertex lies in at least one clique (isolated
 /// vertices receive singleton cliques so an author's own posts can still
@@ -44,9 +44,10 @@ class CliqueCover {
   }
   size_t num_cliques() const { return cliques_.size(); }
 
-  /// Cliques containing `author` (the Author2Cliques hashmap). Empty for
-  /// authors absent from the covered graph.
-  const std::vector<CliqueId>& CliquesOf(AuthorId author) const;
+  /// Cliques containing `author`, ascending (the Author2Cliques map of
+  /// §4.3, stored flat and binary-searched). Empty for authors absent
+  /// from the covered graph.
+  std::span<const CliqueId> CliquesOf(AuthorId author) const;
 
   /// Σ over authors of cliques-per-author / num authors — the `c` of §4.4.
   double AvgCliquesPerAuthor() const;
@@ -61,10 +62,17 @@ class CliqueCover {
   size_t ApproxBytes() const;
 
  private:
+  /// Fills the flat Author2Cliques arrays from cliques_. `authors` is
+  /// sorted, unique and holds every clique member.
+  void IndexAuthors(std::vector<AuthorId> authors);
+
   std::vector<std::vector<AuthorId>> cliques_;
-  std::unordered_map<AuthorId, std::vector<CliqueId>> author_to_cliques_;
+  // Author2Cliques as one sorted array: authors_[i] lies in the cliques
+  // clique_ids_[offsets_[i] .. offsets_[i + 1]).
+  std::vector<AuthorId> authors_;
+  std::vector<uint32_t> offsets_;
+  std::vector<CliqueId> clique_ids_;
   size_t num_authors_ = 0;
-  static const std::vector<CliqueId> kNoCliques;
 };
 
 }  // namespace firehose

@@ -1,14 +1,23 @@
 #include "src/core/clique_bin.h"
 
-#include <algorithm>
-
 #include "src/obs/trace.h"
 
 namespace firehose {
 
 CliqueBinDiversifier::CliqueBinDiversifier(
     const DiversityThresholds& thresholds, const CliqueCover* cover)
-    : thresholds_(thresholds), cover_(cover) {}
+    : thresholds_(thresholds),
+      cover_(cover),
+      slot_of_(cover->num_cliques(), kNoSlot) {}
+
+PostBin& CliqueBinDiversifier::BinOf(CliqueId clique) {
+  uint32_t& slot = slot_of_[clique];
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(bins_.size());
+    bins_.emplace_back();
+  }
+  return bins_[slot];
+}
 
 bool CliqueBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
 
@@ -31,7 +40,7 @@ size_t CliqueBinDiversifier::OfferBatch(std::span<const Post> posts,
 bool CliqueBinDiversifier::OfferOne(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
-  const std::vector<CliqueId>& cliques = cover_->CliquesOf(post.author);
+  const std::span<const CliqueId> cliques = cover_->CliquesOf(post.author);
 
   // Posts sharing a clique with the author are by construction similar to
   // it (clique members are pairwise neighbors), so only content is checked.
@@ -41,7 +50,7 @@ bool CliqueBinDiversifier::OfferOne(const Post& post) {
   const bool use_index =
       kernel_options_.index_min_bin_size != static_cast<size_t>(-1);
   for (CliqueId clique : cliques) {
-    PostBin& bin = bins_[clique];
+    PostBin& bin = BinOf(clique);
     evicted += bin.EvictOlderThan(cutoff);
     const CoverageScanResult scan =
         use_index ? index_caches_[clique].Scan(bin, cutoff, post.simhash,
@@ -66,8 +75,9 @@ bool CliqueBinDiversifier::OfferOne(const Post& post) {
   }
 
   const BinEntry entry{post.time_ms, post.simhash, post.author, post.id};
+  // The scan touched every clique, so each bin has its slot already.
   for (CliqueId clique : cliques) {
-    PostBin& bin = bins_[clique];
+    PostBin& bin = bins_[slot_of_[clique]];
     const size_t before = bin.ApproxBytes();
     bin.Push(entry);
     bins_bytes_ += bin.ApproxBytes() - before;
@@ -81,8 +91,7 @@ bool CliqueBinDiversifier::OfferOne(const Post& post) {
 BinOccupancy CliqueBinDiversifier::bin_occupancy() const {
   BinOccupancy occupancy;
   occupancy.num_bins = bins_.size();
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [clique, bin] : bins_) occupancy.binned_posts += bin.size();
+  for (const PostBin& bin : bins_) occupancy.binned_posts += bin.size();
   return occupancy;
 }
 
@@ -90,23 +99,24 @@ void CliqueBinDiversifier::SaveState(BinaryWriter* out) const {
   BinaryWriter payload;
   internal::SaveStats(stats_, &payload);
   payload.PutVarint(bins_.size());
-  // Serialize in sorted key order: hash-map iteration order would make the
-  // snapshot bytes differ from run to run for identical state.
-  std::vector<CliqueId> keys;
-  keys.reserve(bins_.size());
-  // firehose-lint: allow(unordered-iteration) -- keys are sorted below
-  for (const auto& [clique, bin] : bins_) keys.push_back(clique);
-  std::sort(keys.begin(), keys.end());
-  for (CliqueId clique : keys) {
+  // Bins go out in ascending clique id, not in slot (first-touch) order,
+  // so identical state always gives identical bytes.
+  for (CliqueId clique = 0; clique < slot_of_.size(); ++clique) {
+    if (slot_of_[clique] == kNoSlot) continue;
     payload.PutVarint(clique);
-    bins_.at(clique).Save(&payload);
+    bins_[slot_of_[clique]].Save(&payload);
   }
   internal::WrapChecksummed(payload, out);
 }
 
-bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
-  bins_.clear();
+void CliqueBinDiversifier::Clear() {
+  slot_of_.assign(slot_of_.size(), kNoSlot);
+  bins_ = std::vector<PostBin>();  // release capacity: ApproxBytes counts it
   bins_bytes_ = 0;
+}
+
+bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
+  Clear();
   index_caches_.clear();  // stale push sequences: rebuild lazily
   std::string payload;
   if (internal::UnwrapChecksummed(in, &payload)) {
@@ -115,8 +125,7 @@ bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
   }
   // Malformed snapshot: reset to empty so the object stays usable.
   stats_ = IngestStats{};
-  bins_.clear();
-  bins_bytes_ = 0;
+  Clear();
   return false;
 }
 
@@ -126,8 +135,12 @@ bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
   if (!in.GetVarint(&count)) return false;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t clique;
-    if (!in.GetVarint(&clique) || clique > 0xFFFFFFFFull) return false;
-    PostBin& bin = bins_[static_cast<CliqueId>(clique)];
+    // An id outside the cover, or one seen before, is a corrupt snapshot.
+    if (!in.GetVarint(&clique) || clique >= slot_of_.size() ||
+        slot_of_[clique] != kNoSlot) {
+      return false;
+    }
+    PostBin& bin = BinOf(static_cast<CliqueId>(clique));
     if (!bin.Load(in)) return false;
     bins_bytes_ += bin.ApproxBytes();
   }
@@ -135,9 +148,8 @@ bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
 }
 
 size_t CliqueBinDiversifier::ApproxBytes() const {
-  size_t bytes =
-      bins_bytes_ +
-      bins_.size() * (sizeof(PostBin) + sizeof(CliqueId) + 2 * sizeof(void*));
+  size_t bytes = bins_bytes_ + bins_.capacity() * sizeof(PostBin) +
+                 slot_of_.capacity() * sizeof(uint32_t);
   // firehose-lint: allow(unordered-iteration) -- order-independent sum
   for (const auto& [clique, cache] : index_caches_) {
     bytes += cache.ApproxBytes();

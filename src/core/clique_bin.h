@@ -1,7 +1,9 @@
 #ifndef FIREHOSE_CORE_CLIQUE_BIN_H_
 #define FIREHOSE_CORE_CLIQUE_BIN_H_
 
+#include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "src/author/clique_cover.h"
 #include "src/core/coverage_kernel.h"
@@ -42,12 +44,21 @@ class CliqueBinDiversifier final : public Diversifier {
   }
 
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
+  /// The bin of `clique`, materialized on first touch.
+  PostBin& BinOf(CliqueId clique);
+  /// Drops every bin, leaving the diversifier as constructed (bar stats).
+  void Clear();
 
   const DiversityThresholds thresholds_;
   const CliqueCover* cover_;  // not owned
-  std::unordered_map<CliqueId, PostBin> bins_;
+  // Clique ids are dense 0..num_cliques-1: slot_of_[clique] indexes the
+  // clique's bin in bins_, or is kNoSlot until the clique is first touched.
+  std::vector<uint32_t> slot_of_;
+  std::vector<PostBin> bins_;
   size_t bins_bytes_ = 0;  // incrementally tracked Σ bin capacities
   CoverageKernelOptions kernel_options_;
   std::unordered_map<CliqueId, BinIndexCache> index_caches_;

@@ -103,6 +103,7 @@ class ShardWorker {
     }
     dur::WalOptions wal_options;
     wal_options.dir = ShardWalDir(options_.data_dir, index_);
+    wal_options.ops = options_.file_ops;
     wal_options.sync = sync_.get();
     const dur::WalReadResult read =
         dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
@@ -177,6 +178,9 @@ class ShardWorker {
   }
   uint64_t deliveries() const {
     return deliveries_.load(std::memory_order_seq_cst);
+  }
+  uint64_t wal_failures() const {
+    return wal_failures_.load(std::memory_order_seq_cst);
   }
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
@@ -399,6 +403,7 @@ bool Server::Start(std::string* error) {
     }
     dur::WalOptions control_options;
     control_options.dir = options_.data_dir + "/control";
+    control_options.ops = options_.file_ops;
     control_options.sync = control_sync_.get();
     const dur::WalReadResult read =
         dur::ReadWal(control_options, /*start_seq=*/0, /*truncate_tail=*/true);
@@ -486,7 +491,10 @@ ServeStats Server::stats() const {
     s.posts_ingested += shard->ingested();
     s.duplicates += shard->duplicates();
     s.deliveries += shard->deliveries();
+    s.wal_failures += shard->wal_failures();
   }
+  // A shard WAL detaches only through a counted failure.
+  s.durable = !options_.data_dir.empty() && s.wal_failures == 0;
   return s;
 }
 
@@ -769,6 +777,8 @@ void Server::PublishIntrospection() {
   registry.GetCounter("serve.deliveries")->Add(s.deliveries);
   registry.GetCounter("serve.polls")->Add(s.polls);
   registry.GetCounter("serve.malformed")->Add(s.malformed);
+  registry.GetCounter("serve.wal_failures")->Add(s.wal_failures);
+  registry.GetGauge("serve.durable")->Set(s.durable ? 1 : 0);
   registry.GetGauge("serve.num_shards")
       ->Set(static_cast<int64_t>(options_.num_shards));
   registry.GetGauge("serve.sealed")->Set(sealed() ? 1 : 0);
@@ -781,6 +791,9 @@ void Server::PublishIntrospection() {
   status += ",\"duplicates\":" + std::to_string(s.duplicates);
   status += ",\"deliveries\":" + std::to_string(s.deliveries);
   status += ",\"polls\":" + std::to_string(s.polls);
+  status += ",\"wal_failures\":" + std::to_string(s.wal_failures);
+  status += ",\"durable\":";
+  status += s.durable ? "true" : "false";
   status += ",\"kernel\":\"";
   status += kernels::GetKernelDispatchReport().active;
   status += "\",\"queue_depths\":[";

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/multi_user.h"
+#include "src/dur/file_ops.h"
 #include "src/dur/wal.h"
 #include "src/net/placement.h"
 #include "src/net/proto.h"
@@ -36,6 +37,9 @@ struct ServeOptions {
   /// one post WAL per shard, so each shard recovers independently.
   std::string data_dir;
   std::string wal_sync = "none";  ///< "none" | "always" | "every=N"
+  /// Test seam: the file system under the control and shard WALs
+  /// (nullptr = the real one). Fault injection goes here.
+  dur::FileOps* file_ops = nullptr;
 
   /// Virtual nodes per shard on the placement ring (not settable).
   static constexpr uint32_t vnodes_per_shard = 64;
@@ -69,6 +73,11 @@ struct ServeStats {
   uint64_t deliveries = 0;      ///< (post, user) timeline appends
   uint64_t polls = 0;
   uint64_t malformed = 0;       ///< poisoned connections
+  /// Shard WAL appends or syncs that failed. Each one detaches that
+  /// shard's WAL for good: later posts are decided but not logged.
+  uint64_t wal_failures = 0;
+  /// True while every WAL is attached (false without a data_dir).
+  bool durable = false;
 };
 
 /// The networked serving layer (DESIGN.md §4i): an ingest/delivery

@@ -1,62 +1,55 @@
 #include "src/stream/post_bin.h"
 
+#include <algorithm>
+
 namespace firehose {
 
+void PostBin::Allocate(size_t capacity) {
+  buffer_ = std::make_unique_for_overwrite<std::byte[]>(capacity *
+                                                        kBinEntryLaneBytes);
+  capacity_ = capacity;
+}
+
 void PostBin::Grow(size_t min_capacity) {
-  size_t new_capacity = time_.empty() ? 2 : time_.size() * 2;
+  size_t new_capacity = capacity_ == 0 ? 2 : capacity_ * 2;
   while (new_capacity < min_capacity) new_capacity *= 2;
-  std::vector<int64_t> next_time(new_capacity);
-  std::vector<uint64_t> next_hash(new_capacity);
-  std::vector<AuthorId> next_author(new_capacity);
-  std::vector<PostId> next_id(new_capacity);
-  for (size_t i = 0; i < size_; ++i) {
-    const size_t slot = (head_ + i) & mask_;
-    next_time[i] = time_[slot];
-    next_hash[i] = hash_[slot];
-    next_author[i] = author_[slot];
-    next_id[i] = id_[slot];
+  PostBin next;
+  next.Allocate(new_capacity);
+  // Copy each lane's one or two live stretches to the front of the new lane.
+  LaneSpan segments[2];
+  const size_t num_segments = Segments(segments);
+  size_t at = 0;
+  for (size_t s = 0; s < num_segments; ++s) {
+    const LaneSpan& seg = segments[s];
+    std::copy_n(seg.time_ms, seg.size, next.time_lane() + at);
+    std::copy_n(seg.simhash, seg.size, next.hash_lane() + at);
+    std::copy_n(seg.author, seg.size, next.author_lane() + at);
+    std::copy_n(seg.post_id, seg.size, next.id_lane() + at);
+    at += seg.size;
   }
-  time_ = std::move(next_time);
-  hash_ = std::move(next_hash);
-  author_ = std::move(next_author);
-  id_ = std::move(next_id);
+  buffer_ = std::move(next.buffer_);
+  capacity_ = new_capacity;
   head_ = 0;
-  mask_ = new_capacity - 1;
 }
 
 void PostBin::Push(const BinEntry& entry) {
-  if (size_ == time_.size()) Grow(size_ + 1);
-  const size_t slot = (head_ + size_) & mask_;
-  time_[slot] = entry.time_ms;
-  hash_[slot] = entry.simhash;
-  author_[slot] = entry.author;
-  id_[slot] = entry.post_id;
+  if (size_ == capacity_) Grow(size_ + 1);
+  const size_t slot = (head_ + size_) & mask();
+  time_lane()[slot] = entry.time_ms;
+  hash_lane()[slot] = entry.simhash;
+  author_lane()[slot] = entry.author;
+  id_lane()[slot] = entry.post_id;
   ++size_;
   ++pushes_;
 }
 
-void PostBin::PushBatch(std::span<const BinEntry> entries) {
-  if (entries.empty()) return;
-  if (size_ + entries.size() > time_.size()) Grow(size_ + entries.size());
-  for (const BinEntry& entry : entries) {
-    const size_t slot = (head_ + size_) & mask_;
-    time_[slot] = entry.time_ms;
-    hash_[slot] = entry.simhash;
-    author_[slot] = entry.author;
-    id_[slot] = entry.post_id;
-    ++size_;
-  }
-  pushes_ += entries.size();
-}
-
 size_t PostBin::Segments(LaneSpan out[2]) const {
   if (size_ == 0) return 0;
-  const size_t capacity = time_.size();
-  const size_t first = std::min(size_, capacity - head_);
-  out[0] = LaneSpan{time_.data() + head_, hash_.data() + head_,
-                    author_.data() + head_, id_.data() + head_, first};
+  const size_t first = std::min(size_, capacity_ - head_);
+  out[0] = LaneSpan{time_lane() + head_, hash_lane() + head_,
+                    author_lane() + head_, id_lane() + head_, first};
   if (first == size_) return 1;
-  out[1] = LaneSpan{time_.data(), hash_.data(), author_.data(), id_.data(),
+  out[1] = LaneSpan{time_lane(), hash_lane(), author_lane(), id_lane(),
                     size_ - first};
   return 2;
 }
@@ -65,14 +58,16 @@ size_t PostBin::CountOlderThan(int64_t cutoff_ms) const {
   // Fast paths cover the two common states — fully inside the window
   // (steady stream, freshly evicted bin) and fully expired — before the
   // binary search pays its log.
-  if (size_ == 0 || time_[head_] >= cutoff_ms) return 0;
-  if (time_[(head_ + size_ - 1) & mask_] < cutoff_ms) return size_;
+  if (size_ == 0) return 0;
+  const int64_t* time = time_lane();
+  if (time[head_] >= cutoff_ms) return 0;
+  if (time[(head_ + size_ - 1) & mask()] < cutoff_ms) return size_;
   // Invariant: entry lo is expired, entry hi is not (times non-decreasing).
   size_t lo = 0;
   size_t hi = size_ - 1;
   while (lo + 1 < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (time_[(head_ + mid) & mask_] < cutoff_ms) {
+    if (time[(head_ + mid) & mask()] < cutoff_ms) {
       lo = mid;
     } else {
       hi = mid;
@@ -83,7 +78,7 @@ size_t PostBin::CountOlderThan(int64_t cutoff_ms) const {
 
 size_t PostBin::EvictOlderThan(int64_t cutoff_ms) {
   const size_t evicted = CountOlderThan(cutoff_ms);
-  head_ = (head_ + evicted) & mask_;
+  head_ = (head_ + evicted) & mask();
   size_ -= evicted;
   return evicted;
 }
@@ -93,7 +88,7 @@ void PostBin::Save(BinaryWriter* out) const {
   // capacity (what the process holds resident), so a restored bin must
   // keep the original ring or recovered memory metrics would drift from
   // an uninterrupted run's.
-  out->PutVarint(time_.size());
+  out->PutVarint(capacity_);
   out->PutVarint(size_);
   int64_t prev_time = 0;
   for (size_t i = 0; i < size_; ++i) {
@@ -107,14 +102,7 @@ void PostBin::Save(BinaryWriter* out) const {
 }
 
 bool PostBin::Load(BinaryReader& in) {
-  time_.clear();
-  hash_.clear();
-  author_.clear();
-  id_.clear();
-  head_ = 0;
-  size_ = 0;
-  mask_ = 0;
-  pushes_ = 0;
+  *this = PostBin{};
   uint64_t capacity;
   uint64_t count;
   if (!in.GetVarint(&capacity) || !in.GetVarint(&count)) return false;
@@ -127,14 +115,7 @@ bool PostBin::Load(BinaryReader& in) {
       (capacity & (capacity - 1)) != 0) {
     return false;
   }
-  if (capacity > 0) {
-    const size_t slots = static_cast<size_t>(capacity);
-    time_ = std::vector<int64_t>(slots);
-    hash_ = std::vector<uint64_t>(slots);
-    author_ = std::vector<AuthorId>(slots);
-    id_ = std::vector<PostId>(slots);
-    mask_ = slots - 1;
-  }
+  if (capacity > 0) Allocate(static_cast<size_t>(capacity));
   int64_t prev_time = 0;
   for (uint64_t i = 0; i < count; ++i) {
     int64_t delta;
@@ -142,18 +123,14 @@ bool PostBin::Load(BinaryReader& in) {
     uint64_t author, post_id;
     if (!in.GetSignedVarint(&delta) || !in.GetFixed64(&hash) ||
         !in.GetVarint(&author) || !in.GetVarint(&post_id)) {
-      time_.clear();
-      hash_.clear();
-      author_.clear();
-      id_.clear();
-      head_ = size_ = mask_ = 0;
+      *this = PostBin{};
       return false;
     }
     prev_time += delta;
-    time_[size_] = prev_time;
-    hash_[size_] = hash;
-    author_[size_] = static_cast<AuthorId>(author);
-    id_[size_] = static_cast<PostId>(post_id);
+    time_lane()[size_] = prev_time;
+    hash_lane()[size_] = hash;
+    author_lane()[size_] = static_cast<AuthorId>(author);
+    id_lane()[size_] = static_cast<PostId>(post_id);
     ++size_;
   }
   pushes_ = size_;

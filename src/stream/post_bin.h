@@ -3,8 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
+#include <memory>
+#include <new>
+#include <utility>
 
 #include "src/util/binary.h"
 #include "src/stream/post.h"
@@ -33,14 +34,27 @@ inline constexpr size_t kBinEntryLaneBytes =
 /// iteration from newest to oldest is cache-friendly.
 ///
 /// Storage is structure-of-arrays: four parallel ring lanes (time,
-/// fingerprint, author, post id) sharing one head/size/mask. The coverage
-/// kernel (src/core/coverage_kernel.h) scans the fingerprint lane as raw
-/// contiguous spans — a ring has at most two contiguous segments — so the
-/// hot XOR+popcount loop never performs per-entry masked indexing and
-/// never loads the lanes the current test does not need.
+/// fingerprint, author, post id) sharing one head/size/capacity, carved
+/// back to back from a single buffer of capacity * kBinEntryLaneBytes
+/// bytes. The coverage kernel (src/core/coverage_kernel.h) scans the
+/// fingerprint lane as raw contiguous spans — a ring has at most two
+/// contiguous segments — so the hot XOR+popcount loop never performs
+/// per-entry masked indexing and never loads the lanes the current test
+/// does not need; one allocation per ring keeps a small bin's lanes on
+/// neighbouring cache lines.
 class PostBin {
  public:
   PostBin() = default;
+  PostBin(PostBin&& other) noexcept { *this = std::move(other); }
+  /// A moved-from bin is empty and usable.
+  PostBin& operator=(PostBin&& other) noexcept {
+    buffer_ = std::move(other.buffer_);
+    capacity_ = std::exchange(other.capacity_, 0);
+    head_ = std::exchange(other.head_, 0);
+    size_ = std::exchange(other.size_, 0);
+    pushes_ = std::exchange(other.pushes_, 0);
+    return *this;
+  }
 
   /// One contiguous stretch of the ring, exposed as parallel lane
   /// pointers: element `i` of every lane describes the same entry.
@@ -56,13 +70,6 @@ class PostBin {
   /// order (streams are time-ordered); violating this breaks eviction.
   void Push(const BinEntry& entry);
 
-  /// Appends a run of entries (same ordering contract as Push). Grows at
-  /// most once — straight to a capacity that fits the whole run — so a
-  /// burst pays one reallocation instead of log2(burst) of them.
-  /// Equivalent to calling Push per entry: same final ring state, same
-  /// pushes() count.
-  void PushBatch(std::span<const BinEntry> entries);
-
   /// Removes all entries with time_ms < cutoff_ms. Returns the number of
   /// evicted entries. O(log size): the λt boundary is binary-searched in
   /// the time lane and the head advances past the whole expired prefix.
@@ -75,11 +82,11 @@ class PostBin {
   /// recent). Precondition: i < size(). Gathers the four lanes into a
   /// BinEntry; hot loops should iterate Segments() instead.
   BinEntry FromNewest(size_t i) const {
-    return At((head_ + size_ - 1 - i) & mask_);
+    return At((head_ + size_ - 1 - i) & mask());
   }
 
   /// Entry `i` positions from the oldest. Precondition: i < size().
-  BinEntry FromOldest(size_t i) const { return At((head_ + i) & mask_); }
+  BinEntry FromOldest(size_t i) const { return At((head_ + i) & mask()); }
 
   /// Fills `out[0..1]` with the ring's contiguous segments in oldest→
   /// newest order and returns the segment count (0, 1 or 2). Logical
@@ -104,7 +111,7 @@ class PostBin {
 
   /// Bytes of the backing ring (capacity, not size — what the process
   /// actually holds resident).
-  size_t ApproxBytes() const { return time_.size() * kBinEntryLaneBytes; }
+  size_t ApproxBytes() const { return capacity_ * kBinEntryLaneBytes; }
 
   /// Serializes the ring capacity plus the live entries (oldest to
   /// newest, delta-encoded) for diversifier failover snapshots. Capacity
@@ -121,18 +128,39 @@ class PostBin {
   /// (at least double the current capacity), compacting to head_ = 0.
   void Grow(size_t min_capacity);
 
-  BinEntry At(size_t slot) const {
-    return BinEntry{time_[slot], hash_[slot], author_[slot], id_[slot]};
+  /// Replaces the buffer with an uninitialized one of `capacity` slots.
+  void Allocate(size_t capacity);
+
+  size_t mask() const { return capacity_ - 1; }
+
+  // Lane bases: time | simhash | author | post id, each capacity_ slots.
+  // Wider lanes come first, so every lane starts aligned for its type.
+  // The byte buffer implicitly creates the lanes' arrays; launder makes
+  // the cast pointer refer to them. Only called with a buffer allocated.
+  template <typename T>
+  T* lane(size_t preceding_lane_bytes) const {
+    return std::launder(reinterpret_cast<T*>(
+        buffer_.get() + capacity_ * preceding_lane_bytes));
+  }
+  int64_t* time_lane() const { return lane<int64_t>(0); }
+  uint64_t* hash_lane() const { return lane<uint64_t>(sizeof(int64_t)); }
+  AuthorId* author_lane() const {
+    return lane<AuthorId>(sizeof(int64_t) + sizeof(uint64_t));
+  }
+  PostId* id_lane() const {
+    return lane<PostId>(sizeof(int64_t) + sizeof(uint64_t) + sizeof(AuthorId));
   }
 
-  // Parallel power-of-two ring lanes; all empty until the first Push.
-  std::vector<int64_t> time_;
-  std::vector<uint64_t> hash_;
-  std::vector<AuthorId> author_;
-  std::vector<PostId> id_;
-  size_t head_ = 0;  // index of the oldest entry
+  BinEntry At(size_t slot) const {
+    return BinEntry{time_lane()[slot], hash_lane()[slot], author_lane()[slot],
+                    id_lane()[slot]};
+  }
+
+  // The power-of-two ring's four lanes; null until the first Push.
+  std::unique_ptr<std::byte[]> buffer_;
+  size_t capacity_ = 0;  // slots per lane (0 or a power of two)
+  size_t head_ = 0;      // index of the oldest entry
   size_t size_ = 0;
-  size_t mask_ = 0;  // time_.size() - 1
   uint64_t pushes_ = 0;
 };
 

@@ -314,6 +314,101 @@ TEST_F(NetServeTest, GracefulRestartRecoversAndResendDedupes) {
   server.Stop();
 }
 
+/// Routes files under the shard WAL directories through `faults` and
+/// everything else (the control WAL, every directory operation) to the
+/// real file system, so the seal and the shard WAL opens succeed and
+/// only the shard WALs' own appends and syncs see the fault plan.
+class ShardFileFaults final : public dur::FileOps {
+ public:
+  explicit ShardFileFaults(dur::FileOps* faults) : faults_(faults) {}
+
+  std::unique_ptr<dur::WritableFile> Create(const std::string& path) override {
+    return For(path)->Create(path);
+  }
+  std::unique_ptr<dur::WritableFile> OpenAppend(
+      const std::string& path) override {
+    return For(path)->OpenAppend(path);
+  }
+  bool Read(const std::string& path, std::string* data) override {
+    return real_->Read(path, data);
+  }
+  bool Rename(const std::string& from, const std::string& to) override {
+    return real_->Rename(from, to);
+  }
+  bool Remove(const std::string& path) override { return real_->Remove(path); }
+  std::vector<std::string> List(const std::string& dir) override {
+    return real_->List(dir);
+  }
+  bool CreateDir(const std::string& dir) override {
+    return real_->CreateDir(dir);
+  }
+  bool SyncDir(const std::string& dir) override { return real_->SyncDir(dir); }
+  bool Truncate(const std::string& path, uint64_t size) override {
+    return real_->Truncate(path, size);
+  }
+
+ private:
+  dur::FileOps* For(const std::string& path) {
+    return path.find("/shard-") != std::string::npos ? faults_ : real_;
+  }
+
+  dur::FileOps* faults_;
+  dur::FileOps* real_ = dur::RealFileOps();
+};
+
+TEST_F(NetServeTest, FailingShardWalSyncIsCountedAndStillServesExactly) {
+  // One shard: FaultFileOps counts without locks, so only one worker
+  // thread may drive it.
+  dur::FaultPlan plan;
+  plan.fail_sync = true;
+  dur::FaultFileOps faults(dur::RealFileOps(), plan);
+  ShardFileFaults ops(&faults);
+  obs::DebugState debug;
+  ServeOptions options = Options(1, data_dir_);
+  options.file_ops = &ops;
+  options.debug = &debug;
+  Server server(options, &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  EXPECT_TRUE(server.stats().durable);
+
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+  SealUsers(client);
+  SendStream(client);  // its Flush syncs the shard WAL, which fails
+  const ServeStats stats = server.stats();
+  EXPECT_GT(stats.wal_failures, 0u);
+  EXPECT_FALSE(stats.durable);
+  EXPECT_GT(faults.syncs(), 0u);
+
+  // Losing the WAL freezes durability, not decisions.
+  const auto expected =
+      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
+  ExpectServedTimelinesMatch(client, expected);
+
+  // The dispatcher republishes while it waits for the next frame.
+  std::string status;
+  for (int i = 0; i < 100; ++i) {
+    status = debug.status_json();
+    if (status.find("\"durable\":false") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_NE(status.find("\"durable\":false"), std::string::npos) << status;
+  EXPECT_NE(status.find("\"wal_failures\":" +
+                        std::to_string(stats.wal_failures)),
+            std::string::npos)
+      << status;
+  const std::string varz = debug.varz_json();
+  EXPECT_NE(varz.find("\"serve.durable\": {\"value\": 0"), std::string::npos)
+      << varz;
+  EXPECT_NE(varz.find("\"serve.wal_failures\": " +
+                      std::to_string(stats.wal_failures)),
+            std::string::npos)
+      << varz;
+  client.Disconnect();
+  server.Stop();
+}
+
 TEST_F(NetServeTest, ParkedWorkerWakesForEveryRoundTripOneShard) {
   AlternatePollAndFlushAcrossIdleGaps(1);
 }

@@ -178,5 +178,28 @@ TEST(SoaViewPropertyTest, EmptyBinHasNoSegments) {
   EXPECT_EQ(bin.Segments(segments), 0u);  // emptied after wrap state
 }
 
+TEST(SoaViewPropertyTest, MoveTransfersTheRingAndEmptiesTheSource) {
+  PostBin bin;
+  for (int i = 0; i < 5; ++i) {
+    bin.Push(BinEntry{i, static_cast<uint64_t>(i), 0, static_cast<PostId>(i)});
+  }
+  const std::vector<BinEntry> before = FlattenSegments(bin);
+  PostBin moved(std::move(bin));
+  ASSERT_EQ(moved.size(), 5u);
+  EXPECT_EQ(moved.ApproxBytes(), 8 * kBinEntryLaneBytes);
+  EXPECT_EQ(moved.pushes(), 5u);
+  const std::vector<BinEntry> after = FlattenSegments(moved);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_TRUE(SameEntry(after[i], before[i])) << "i=" << i;
+  }
+  // NOLINTNEXTLINE(bugprone-use-after-move): tests the moved-from state
+  EXPECT_TRUE(bin.empty());
+  EXPECT_EQ(bin.ApproxBytes(), 0u);
+  EXPECT_EQ(bin.pushes(), 0u);
+  bin.Push(BinEntry{9, 9, 0, 9});
+  EXPECT_EQ(bin.FromNewest(0).post_id, 9u);
+  CheckViewInvariants(bin);
+}
+
 }  // namespace
 }  // namespace firehose

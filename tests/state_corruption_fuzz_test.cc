@@ -150,5 +150,62 @@ TEST_F(StateCorruptionFuzzTest, RejectedLoadResetsToEmpty) {
   }
 }
 
+/// A well-formed CliqueBin snapshot (valid envelope and bins) whose bin
+/// keys are `cliques`; every bin holds one post.
+std::string CliqueBinSnapshot(const std::vector<uint64_t>& cliques) {
+  BinaryWriter payload;
+  internal::SaveStats(IngestStats{}, &payload);
+  payload.PutVarint(cliques.size());
+  for (const uint64_t clique : cliques) {
+    payload.PutVarint(clique);
+    PostBin bin;
+    bin.Push(BinEntry{100, 0xABCDull, 0, 7});
+    bin.Save(&payload);
+  }
+  BinaryWriter out;
+  internal::WrapChecksummed(payload, &out);
+  return std::string(out.buffer());
+}
+
+TEST_F(StateCorruptionFuzzTest, CliqueBinRejectsHostileCliqueIds) {
+  // The checksum cannot catch a snapshot that is intact but names bins
+  // the cover does not have, or names one bin twice.
+  const auto make = [this] {
+    return MakeDiversifier(Algorithm::kCliqueBin, thresholds_, &graph_,
+                           &cover_);
+  };
+  const uint64_t num_cliques = cover_.num_cliques();
+  ASSERT_GT(num_cliques, 1u);
+  {
+    auto control = make();
+    const std::string snapshot = CliqueBinSnapshot({0, num_cliques - 1});
+    BinaryReader reader(snapshot);
+    ASSERT_TRUE(control->LoadState(reader));
+    EXPECT_EQ(control->bin_occupancy().num_bins, 2u);
+  }
+  const std::vector<std::vector<uint64_t>> hostile = {
+      {num_cliques},         // one past the last clique
+      {0, 0xFFFFFFFFull},    // the largest 32-bit id
+      {1, 1},                // duplicate
+      {0, num_cliques - 1, 0},
+  };
+  for (const std::vector<uint64_t>& cliques : hostile) {
+    auto victim = make();
+    for (const Post& post : stream_) victim->Offer(post);
+    const std::string snapshot = CliqueBinSnapshot(cliques);
+    BinaryReader reader(snapshot);
+    EXPECT_FALSE(victim->LoadState(reader)) << "ids[0]=" << cliques[0];
+
+    // Left empty and usable: same bytes and decisions as a new instance.
+    auto fresh = make();
+    EXPECT_EQ(victim->bin_occupancy().num_bins, 0u);
+    EXPECT_EQ(victim->ApproxBytes(), fresh->ApproxBytes());
+    for (const Post& post : stream_) {
+      EXPECT_EQ(victim->Offer(post), fresh->Offer(post));
+    }
+    EXPECT_EQ(victim->stats().posts_out, fresh->stats().posts_out);
+  }
+}
+
 }  // namespace
 }  // namespace firehose
