@@ -2,7 +2,7 @@
 // scalar path: per-entry masked ring indexing over an array-of-structs
 // bin with per-entry counter increments (the loop every diversifier ran
 // before src/core/coverage_kernel.h) versus the SoA lane-span
-// XOR+popcount kernel, plus the permuted-index routing crossover.
+// XOR+popcount kernel.
 //
 // Emits BENCH_micro_coverage_kernel.json via the bench_common atexit
 // hook. Deterministic work counters (comparisons, covered counts) are
@@ -133,7 +133,7 @@ void Run() {
   PrintBenchHeader(
       "micro_coverage_kernel", "DESIGN.md section 4f",
       "Candidate-check throughput: pre-change scalar AoS scan vs the "
-      "batched SoA coverage kernel, and the permuted-index crossover.");
+      "batched SoA coverage kernel.");
 
   obs::MetricsRegistry& m = BenchMetrics();
   DiversityThresholds t = PaperThresholds();  // lambda_c = 18
@@ -266,66 +266,6 @@ void Run() {
                   variant_ms * 1e6 / static_cast<double>(comparisons),
                   scalar_variant_ms / variant_ms);
     }
-  }
-
-  // ------------------------------------------------------------------
-  // Permuted-index routing: at a small lambda_c the index can answer the
-  // content dimension with one probe; measure where it overtakes the
-  // scalar kernel (DESIGN.md section 4f records the crossover).
-  DiversityThresholds small = t;
-  small.lambda_c = 3;
-  int64_t crossover = 0;
-  for (size_t size : {size_t{256}, size_t{1024}, size_t{4096}, size_t{16384},
-                      size_t{65536}}) {
-    Rng rng(7 + size);
-    const PostBin bin = MakeBin(size, rng);
-    const ProbeSet probes = MakeProbes(bin, std::max<size_t>(64, (1u << 21) / size), rng);
-
-    const double scalar_ms = BestMillis([&] {
-      for (size_t p = 0; p < probes.hashes.size(); ++p) {
-        (void)ScanCoveredSimHash(bin, -1, probes.hashes[p], probes.authors[p],
-                                 small, author_similar);
-      }
-    });
-
-    BinIndexCache cache;
-    CoverageKernelOptions options;
-    options.index_min_bin_size = 0;  // always route through the index
-    uint64_t indexed_pruned = 0;
-    const double indexed_ms = BestMillis([&] {
-      indexed_pruned = 0;
-      for (size_t p = 0; p < probes.hashes.size(); ++p) {
-        const CoverageScanResult scan =
-            cache.Scan(bin, -1, probes.hashes[p], probes.authors[p], small,
-                       author_similar, options);
-        indexed_pruned += scan.pruned;
-      }
-    });
-    std::printf("index n=%-7zu scalar %8.3f ms  indexed %8.3f ms  pruned %llu\n",
-                size, scalar_ms, indexed_ms,
-                static_cast<unsigned long long>(indexed_pruned));
-    if (crossover == 0 && cache.active() && indexed_ms < scalar_ms) {
-      crossover = static_cast<int64_t>(size);
-    }
-  }
-  // Timing-dependent: recorded for the DESIGN.md constant, compared
-  // fuzzily (name contains "crossover").
-  m.GetGauge("index.crossover_size")->Set(crossover);
-  std::printf("index crossover size (lambda_c=3): %lld\n",
-              static_cast<long long>(crossover));
-
-  // The paper's production lambda_c = 18 defeats the Manku structure
-  // (section 3); the cache must reject it and stay scalar.
-  {
-    Rng rng(99);
-    const PostBin bin = MakeBin(1024, rng);
-    BinIndexCache cache;
-    CoverageKernelOptions options;
-    options.index_min_bin_size = 0;
-    (void)cache.Scan(bin, -1, rng.Next(), 0, t, author_similar, options);
-    m.GetGauge("index.lambda18_feasible")->Set(cache.infeasible() ? 0 : 1);
-    std::printf("lambda_c=18 index feasible: %d (expected 0)\n",
-                cache.infeasible() ? 0 : 1);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/core/clique_bin.h"
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {
@@ -19,25 +20,7 @@ PostBin& CliqueBinDiversifier::BinOf(CliqueId clique) {
   return bins_[slot];
 }
 
-bool CliqueBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t CliqueBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                        std::vector<uint8_t>* admitted) {
-  // One virtual call per burst; each post still runs the identical
-  // per-clique evict → scan → insert sequence, so the timeline, stats and
-  // snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool CliqueBinDiversifier::OfferOne(const Post& post) {
+bool CliqueBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
   const std::span<const CliqueId> cliques = cover_->CliquesOf(post.author);
@@ -47,17 +30,12 @@ bool CliqueBinDiversifier::OfferOne(const Post& post) {
   auto author_similar = [](AuthorId) { return true; };
   bool covered = false;
   size_t evicted = 0;
-  const bool use_index =
-      kernel_options_.index_min_bin_size != static_cast<size_t>(-1);
   for (CliqueId clique : cliques) {
     PostBin& bin = BinOf(clique);
     evicted += bin.EvictOlderThan(cutoff);
     const CoverageScanResult scan =
-        use_index ? index_caches_[clique].Scan(bin, cutoff, post.simhash,
-                                               post.author, thresholds_,
-                                               author_similar, kernel_options_)
-                  : ScanCoveredSimHash(bin, cutoff, post.simhash, post.author,
-                                       thresholds_, author_similar);
+        ScanCoveredSimHash(bin, cutoff, post.simhash, post.author,
+                           thresholds_, author_similar);
     stats_.comparisons += scan.comparisons;
     stats_.pruned += scan.pruned;
     if (scan.covered) {
@@ -117,7 +95,6 @@ void CliqueBinDiversifier::Clear() {
 
 bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
   Clear();
-  index_caches_.clear();  // stale push sequences: rebuild lazily
   std::string payload;
   if (internal::UnwrapChecksummed(in, &payload)) {
     BinaryReader state(payload);
@@ -148,13 +125,8 @@ bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
 }
 
 size_t CliqueBinDiversifier::ApproxBytes() const {
-  size_t bytes = bins_bytes_ + bins_.capacity() * sizeof(PostBin) +
-                 slot_of_.capacity() * sizeof(uint32_t);
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [clique, cache] : index_caches_) {
-    bytes += cache.ApproxBytes();
-  }
-  return bytes;
+  return bins_bytes_ + bins_.capacity() * sizeof(PostBin) +
+         slot_of_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace firehose

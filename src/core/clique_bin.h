@@ -2,11 +2,9 @@
 #define FIREHOSE_CORE_CLIQUE_BIN_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/author/clique_cover.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {
@@ -27,8 +25,6 @@ class CliqueBinDiversifier final : public Diversifier {
                        const CliqueCover* cover);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -36,17 +32,9 @@ class CliqueBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index, and per-clique
-  /// index caches materialize only for bins that cross the threshold.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
   /// The bin of `clique`, materialized on first touch.
   PostBin& BinOf(CliqueId clique);
@@ -60,8 +48,6 @@ class CliqueBinDiversifier final : public Diversifier {
   std::vector<uint32_t> slot_of_;
   std::vector<PostBin> bins_;
   size_t bins_bytes_ = 0;  // incrementally tracked Σ bin capacities
-  CoverageKernelOptions kernel_options_;
-  std::unordered_map<CliqueId, BinIndexCache> index_caches_;
   IngestStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {
@@ -14,25 +15,7 @@ PostBin& NeighborBinDiversifier::BinOf(AuthorId author) {
   return bins_[author];
 }
 
-bool NeighborBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t NeighborBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                          std::vector<uint8_t>* admitted) {
-  // One virtual call per burst; each post still runs the identical
-  // evict → scan → fan-out-insert sequence, so the timeline, stats and
-  // snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool NeighborBinDiversifier::OfferOne(const Post& post) {
+bool NeighborBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
 
@@ -43,12 +26,8 @@ bool NeighborBinDiversifier::OfferOne(const Post& post) {
   // the author dimension holds by construction; only content is checked.
   auto author_similar = [](AuthorId) { return true; };
   const CoverageScanResult scan =
-      kernel_options_.index_min_bin_size == static_cast<size_t>(-1)
-          ? ScanCoveredSimHash(own_bin, cutoff, post.simhash, post.author,
-                               thresholds_, author_similar)
-          : index_caches_[post.author].Scan(own_bin, cutoff, post.simhash,
-                                            post.author, thresholds_,
-                                            author_similar, kernel_options_);
+      ScanCoveredSimHash(own_bin, cutoff, post.simhash, post.author,
+                         thresholds_, author_similar);
   stats_.comparisons += scan.comparisons;
   stats_.pruned += scan.pruned;
   if (scan.covered) {
@@ -112,7 +91,6 @@ void NeighborBinDiversifier::SaveState(BinaryWriter* out) const {
 bool NeighborBinDiversifier::LoadState(BinaryReader& in) {
   bins_.clear();
   bins_bytes_ = 0;
-  index_caches_.clear();  // stale push sequences: rebuild lazily
   std::string payload;
   if (internal::UnwrapChecksummed(in, &payload)) {
     BinaryReader state(payload);
@@ -141,14 +119,8 @@ bool NeighborBinDiversifier::LoadStatePayload(BinaryReader& in) {
 
 size_t NeighborBinDiversifier::ApproxBytes() const {
   // Ring capacities plus hash-map node overhead per bin.
-  size_t bytes =
-      bins_bytes_ +
-      bins_.size() * (sizeof(PostBin) + sizeof(AuthorId) + 2 * sizeof(void*));
-  // firehose-lint: allow(unordered-iteration) -- order-independent sum
-  for (const auto& [author, cache] : index_caches_) {
-    bytes += cache.ApproxBytes();
-  }
-  return bytes;
+  return bins_bytes_ + bins_.size() * (sizeof(PostBin) + sizeof(AuthorId) +
+                                       2 * sizeof(void*));
 }
 
 }  // namespace firehose

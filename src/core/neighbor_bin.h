@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "src/author/similarity_graph.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {
@@ -25,8 +24,6 @@ class NeighborBinDiversifier final : public Diversifier {
                          const AuthorGraph* graph);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -34,24 +31,14 @@ class NeighborBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index, and per-author
-  /// index caches materialize only for bins that cross the threshold.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
   PostBin& BinOf(AuthorId author);
-  bool OfferOne(const Post& post);
   bool LoadStatePayload(BinaryReader& in);
 
   const DiversityThresholds thresholds_;
   const AuthorGraph* graph_;  // not owned
   std::unordered_map<AuthorId, PostBin> bins_;
   size_t bins_bytes_ = 0;  // incrementally tracked Σ bin capacities
-  CoverageKernelOptions kernel_options_;
-  std::unordered_map<AuthorId, BinIndexCache> index_caches_;
   IngestStats stats_;
 };
 

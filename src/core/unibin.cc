@@ -1,5 +1,6 @@
 #include "src/core/unibin.h"
 
+#include "src/core/coverage_kernel.h"
 #include "src/obs/trace.h"
 
 namespace firehose {
@@ -8,25 +9,7 @@ UniBinDiversifier::UniBinDiversifier(const DiversityThresholds& thresholds,
                                      const AuthorGraph* graph)
     : thresholds_(thresholds), graph_(graph) {}
 
-bool UniBinDiversifier::Offer(const Post& post) { return OfferOne(post); }
-
-size_t UniBinDiversifier::OfferBatch(std::span<const Post> posts,
-                                     std::vector<uint8_t>* admitted) {
-  // One virtual call and one I-cache-warm decision loop per burst; each
-  // post still runs the identical evict → scan → push sequence, so the
-  // timeline, stats and snapshot bytes match per-post Offer exactly.
-  if (admitted != nullptr) admitted->assign(posts.size(), 0);
-  size_t delivered = 0;
-  for (size_t i = 0; i < posts.size(); ++i) {
-    if (OfferOne(posts[i])) {
-      ++delivered;
-      if (admitted != nullptr) (*admitted)[i] = 1;
-    }
-  }
-  return delivered;
-}
-
-bool UniBinDiversifier::OfferOne(const Post& post) {
+bool UniBinDiversifier::Offer(const Post& post) {
   ++stats_.posts_in;
   const size_t evicted =
       bin_.EvictOlderThan(post.time_ms - thresholds_.lambda_t_ms);
@@ -38,9 +21,9 @@ bool UniBinDiversifier::OfferOne(const Post& post) {
   auto author_similar = [&](AuthorId other) {
     return graph_ != nullptr && graph_->IsNeighbor(post.author, other);
   };
-  const CoverageScanResult scan = index_cache_.Scan(
+  const CoverageScanResult scan = ScanCoveredSimHash(
       bin_, post.time_ms - thresholds_.lambda_t_ms, post.simhash, post.author,
-      thresholds_, author_similar, kernel_options_);
+      thresholds_, author_similar);
   stats_.comparisons += scan.comparisons;
   stats_.pruned += scan.pruned;
   if (scan.covered) {
@@ -56,7 +39,7 @@ bool UniBinDiversifier::OfferOne(const Post& post) {
 }
 
 size_t UniBinDiversifier::ApproxBytes() const {
-  return bin_.ApproxBytes() + index_cache_.ApproxBytes();
+  return bin_.ApproxBytes();
 }
 
 BinOccupancy UniBinDiversifier::bin_occupancy() const {
@@ -76,14 +59,12 @@ bool UniBinDiversifier::LoadState(BinaryReader& in) {
     BinaryReader state(payload);
     if (internal::LoadStats(state, &stats_) && bin_.Load(state) &&
         state.AtEnd()) {
-      index_cache_ = BinIndexCache{};  // stale sequences: rebuild lazily
       return true;
     }
   }
   // Malformed snapshot: reset to empty so the object stays usable.
   stats_ = IngestStats{};
   bin_ = PostBin{};
-  index_cache_ = BinIndexCache{};
   return false;
 }
 

@@ -2,7 +2,6 @@
 #define FIREHOSE_CORE_UNIBIN_H_
 
 #include "src/author/similarity_graph.h"
-#include "src/core/coverage_kernel.h"
 #include "src/core/diversifier.h"
 
 namespace firehose {
@@ -23,8 +22,6 @@ class UniBinDiversifier final : public Diversifier {
                     const AuthorGraph* graph);
 
   bool Offer(const Post& post) override;
-  size_t OfferBatch(std::span<const Post> posts,
-                    std::vector<uint8_t>* admitted = nullptr) override;
   const IngestStats& stats() const override { return stats_; }
   size_t ApproxBytes() const override;
   BinOccupancy bin_occupancy() const override;
@@ -32,20 +29,10 @@ class UniBinDiversifier final : public Diversifier {
   void SaveState(BinaryWriter* out) const override;
   bool LoadState(BinaryReader& in) override;
 
-  /// Tunes the coverage kernel (permuted-index routing). Call before the
-  /// first Offer; the default never consults the index.
-  void set_kernel_options(const CoverageKernelOptions& options) {
-    kernel_options_ = options;
-  }
-
  private:
-  bool OfferOne(const Post& post);
-
   const DiversityThresholds thresholds_;
   const AuthorGraph* graph_;  // not owned
   PostBin bin_;
-  CoverageKernelOptions kernel_options_;
-  BinIndexCache index_cache_;
   IngestStats stats_;
 };
 

@@ -17,7 +17,7 @@ struct HttpRequest {
   std::string query;   // "window_s=5" for "/tracez?window_s=5"
 };
 
-/// What a handler returns. `status` 200/404/500; body is sent verbatim
+/// What a handler returns. `status` 200/404/503/500; body is sent verbatim
 /// with Content-Length and Connection: close.
 struct HttpResponse {
   int status = 200;

@@ -803,9 +803,16 @@ void Server::PublishIntrospection() {
   }
   status += "]}";
 
+  // Dropped shard WALs make /healthz fail: posts are still decided and
+  // served, but no longer logged.
+  std::string unhealthy;
+  if (s.wal_failures > 0) {
+    unhealthy = std::to_string(s.wal_failures) +
+                " shard WAL failure(s): new posts are not durable";
+  }
   options_.debug->PublishMetrics(obs::ExportPrometheus(registry),
                                  obs::ExportJson(registry));
-  options_.debug->PublishStatus(std::move(status));
+  options_.debug->PublishStatus(std::move(status), std::move(unhealthy));
 }
 
 }  // namespace net

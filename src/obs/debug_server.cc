@@ -16,9 +16,11 @@ void DebugState::PublishMetrics(std::string prometheus,
   ++publish_count_;
 }
 
-void DebugState::PublishStatus(std::string status_json) {
+void DebugState::PublishStatus(std::string status_json,
+                               std::string unhealthy_reason) {
   std::lock_guard<std::mutex> lock(mu_);
   status_ = std::move(status_json);
+  unhealthy_reason_ = std::move(unhealthy_reason);
 }
 
 std::string DebugState::metrics_prometheus() const {
@@ -34,6 +36,11 @@ std::string DebugState::varz_json() const {
 std::string DebugState::status_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   return status_;
+}
+
+std::string DebugState::unhealthy_reason() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return unhealthy_reason_;
 }
 
 uint64_t DebugState::publish_count() const {
@@ -54,7 +61,24 @@ bool DebugServer::Start(int port) {
 HttpResponse DebugServer::Handle(const HttpRequest& request) {
   HttpResponse response;
   if (request.path == "/healthz") {
-    response.body = "ok\n";
+    std::string reason;
+    if (options_.watchdog != nullptr) {
+      Watchdog::TaskInfo tasks[Watchdog::kMaxTasks];
+      const int n =
+          options_.watchdog->SnapshotTasks(tasks, Watchdog::kMaxTasks);
+      for (int i = 0; i < n && reason.empty(); ++i) {
+        if (tasks[i].tripped) {
+          reason = std::string("watchdog task ") + tasks[i].name + " stalled";
+        }
+      }
+    }
+    if (reason.empty()) reason = state_.unhealthy_reason();
+    if (reason.empty()) {
+      response.body = "ok\n";
+    } else {
+      response.status = 503;
+      response.body = "unhealthy: " + reason + "\n";
+    }
     return response;
   }
   if (request.path == "/metricsz") {

@@ -32,14 +32,19 @@ class DebugState {
   void PublishMetrics(std::string prometheus, std::string varz_json);
 
   /// Owning-thread side: replaces the runtime block of /statusz (a JSON
-  /// object: queue depths, WAL position, shard progress...).
-  void PublishStatus(std::string status_json);
+  /// object: queue depths, WAL position, shard progress...) and the
+  /// runtime's health. A non-empty `unhealthy_reason` (one line, e.g.
+  /// "shard WAL dropped") turns /healthz into a 503 carrying it; the
+  /// next publish without one clears it.
+  void PublishStatus(std::string status_json,
+                     std::string unhealthy_reason = {});
 
   /// Responder side: copies of the latest publications (empty string
-  /// before the first publish).
+  /// before the first publish, and while the runtime is healthy).
   std::string metrics_prometheus() const;
   std::string varz_json() const;
   std::string status_json() const;
+  std::string unhealthy_reason() const;
 
   uint64_t publish_count() const;
 
@@ -48,6 +53,7 @@ class DebugState {
   std::string prometheus_ FIREHOSE_GUARDED_BY(mu_);
   std::string varz_ FIREHOSE_GUARDED_BY(mu_);
   std::string status_ FIREHOSE_GUARDED_BY(mu_);
+  std::string unhealthy_reason_ FIREHOSE_GUARDED_BY(mu_);
   uint64_t publish_count_ FIREHOSE_GUARDED_BY(mu_) = 0;
 };
 
@@ -57,7 +63,8 @@ class DebugState {
 ///   /varz      firehose.metrics.v1 JSON   (same snapshot)
 ///   /statusz   build stamp, uptime, and the runtime's status block
 ///   /tracez    flight-recorder dump (Chrome trace JSON); ?window_s=N
-///   /healthz   "ok"
+///   /healthz   "ok", or 503 with a one-line reason while a watchdog task
+///              is stalled or the runtime published itself unhealthy
 ///
 /// Binds 127.0.0.1 only (this is an operator port, not a service port).
 /// Start with port 0 to let the kernel pick; the chosen port is in

@@ -235,59 +235,5 @@ TEST(CoverageOracleCosineTest, CosineUniBinMatchesNaiveReference) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Index-routed kernel: decisions must not change, only the accounting.
-
-TEST(CoverageOracleIndexTest, IndexedUniBinMatchesScalarDecisions) {
-  DiversityThresholds t;
-  t.lambda_c = 3;
-  t.lambda_t_ms = 30 * 60 * 1000;  // wide window: the bin grows large
-  const AuthorGraph graph = OracleGraph(9, 0.7);
-  const PostStream stream = OracleStream(graph, 9);
-
-  UniBinDiversifier scalar(t, &graph);
-  const std::vector<PostId> scalar_ids = RunOptimized(scalar, stream);
-
-  UniBinDiversifier indexed(t, &graph);
-  CoverageKernelOptions options;
-  options.index_min_bin_size = 64;
-  indexed.set_kernel_options(options);
-  const std::vector<PostId> indexed_ids = RunOptimized(indexed, stream);
-
-  // The index is exact: identical admitted sequence, identical outputs.
-  EXPECT_EQ(indexed_ids, scalar_ids);
-  EXPECT_EQ(indexed.stats().posts_out, scalar.stats().posts_out);
-  EXPECT_EQ(indexed.stats().insertions, scalar.stats().insertions);
-  EXPECT_EQ(indexed.stats().evictions, scalar.stats().evictions);
-  // Only the work split differs: the index disposes of in-window
-  // candidates without pairwise tests.
-  EXPECT_GT(indexed.stats().pruned, 0u);
-  EXPECT_LT(indexed.stats().comparisons, scalar.stats().comparisons);
-  EXPECT_EQ(scalar.stats().pruned, 0u);
-}
-
-TEST(CoverageOracleIndexTest, PaperLambda18IsInfeasibleAndFallsBackToScalar) {
-  DiversityThresholds t;
-  t.lambda_c = 18;  // the paper's production λc: tables explode (§3)
-  t.lambda_t_ms = 30 * 60 * 1000;
-  const AuthorGraph graph = OracleGraph(13, 0.7);
-  const PostStream stream = OracleStream(graph, 13);
-
-  UniBinDiversifier scalar(t, &graph);
-  const std::vector<PostId> scalar_ids = RunOptimized(scalar, stream);
-
-  UniBinDiversifier indexed(t, &graph);
-  CoverageKernelOptions options;
-  options.index_min_bin_size = 64;
-  indexed.set_kernel_options(options);
-  const std::vector<PostId> indexed_ids = RunOptimized(indexed, stream);
-
-  // λc = 18 is rejected at build time, so the run is scalar end to end:
-  // byte-identical decisions AND byte-identical accounting.
-  EXPECT_EQ(indexed_ids, scalar_ids);
-  EXPECT_EQ(indexed.stats().comparisons, scalar.stats().comparisons);
-  EXPECT_EQ(indexed.stats().pruned, 0u);
-}
-
 }  // namespace
 }  // namespace firehose

@@ -356,57 +356,105 @@ class ShardFileFaults final : public dur::FileOps {
   dur::FileOps* real_ = dur::RealFileOps();
 };
 
-TEST_F(NetServeTest, FailingShardWalSyncIsCountedAndStillServesExactly) {
-  // One shard: FaultFileOps counts without locks, so only one worker
-  // thread may drive it.
-  dur::FaultPlan plan;
-  plan.fail_sync = true;
-  dur::FaultFileOps faults(dur::RealFileOps(), plan);
-  ShardFileFaults ops(&faults);
-  obs::DebugState debug;
-  ServeOptions options = Options(1, data_dir_);
-  options.file_ops = &ops;
-  options.debug = &debug;
-  Server server(options, &workload_.graph);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  EXPECT_TRUE(server.stats().durable);
+/// Bytes a fresh WAL writes before its first record (the segment
+/// header), counted through a fault-free FaultFileOps.
+uint64_t SegmentHeaderBytes(const std::string& dir) {
+  dur::FaultFileOps counter(dur::RealFileOps(), dur::FaultPlan{});
+  dur::WalOptions wal_options;
+  wal_options.dir = dir;
+  wal_options.ops = &counter;
+  dur::WalWriter wal(wal_options);
+  EXPECT_TRUE(wal.Open(0));
+  EXPECT_TRUE(wal.Close());
+  return counter.bytes_appended();
+}
 
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
-  SealUsers(client);
-  SendStream(client);  // its Flush syncs the shard WAL, which fails
-  const ServeStats stats = server.stats();
-  EXPECT_GT(stats.wal_failures, 0u);
-  EXPECT_FALSE(stats.durable);
-  EXPECT_GT(faults.syncs(), 0u);
-
-  // Losing the WAL freezes durability, not decisions.
-  const auto expected =
-      ExpectedTimelines(workload_, Algorithm::kCliqueBin, DiversityThresholds{});
-  ExpectServedTimelinesMatch(client, expected);
-
-  // The dispatcher republishes while it waits for the next frame.
-  std::string status;
+/// GETs `path` from the debug server until it answers `want_status`
+/// (the dispatcher republishes health while it waits for frames).
+std::string AwaitHttpStatus(const obs::DebugServer& server,
+                            const std::string& path, int want_status) {
+  int status = 0;
+  std::string body;
   for (int i = 0; i < 100; ++i) {
-    status = debug.status_json();
-    if (status.find("\"durable\":false") != std::string::npos) break;
+    if (HttpGet(server.port(), path, &status, &body) &&
+        status == want_status) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_NE(status.find("\"durable\":false"), std::string::npos) << status;
-  EXPECT_NE(status.find("\"wal_failures\":" +
+  EXPECT_EQ(status, want_status) << path << ": " << body;
+  return body;
+}
+
+TEST_F(NetServeTest, FailingShardWalSyncIsCountedAndStillServesExactly) {
+  // Two ways to lose the shard WAL: every fsync fails (detected at the
+  // Flush), or an append inside the first ingest run is torn (K lands in
+  // the first record's frame, just past the segment header).
+  const uint64_t torn_at = SegmentHeaderBytes(data_dir_ + "/probe") + 4;
+  dur::FaultPlan failing_sync;
+  failing_sync.fail_sync = true;
+  dur::FaultPlan torn_append;
+  torn_append.fail_after_bytes = torn_at;
+  for (const dur::FaultPlan& plan : {failing_sync, torn_append}) {
+    SCOPED_TRACE(plan.fail_sync ? "failing fsync" : "torn append");
+    std::filesystem::remove_all(data_dir_);
+    // One shard: FaultFileOps counts without locks, so only one worker
+    // thread may drive it.
+    dur::FaultFileOps faults(dur::RealFileOps(), plan);
+    ShardFileFaults ops(&faults);
+    obs::DebugServer debug_server;
+    ASSERT_TRUE(debug_server.Start(0));
+    obs::DebugState& debug = *debug_server.state();
+    ServeOptions options = Options(1, data_dir_);
+    options.file_ops = &ops;
+    options.debug = &debug;
+    Server server(options, &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_TRUE(server.stats().durable);
+    EXPECT_EQ(AwaitHttpStatus(debug_server, "/healthz", 200), "ok\n");
+
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    SendStream(client);
+    const ServeStats stats = server.stats();
+    EXPECT_GT(stats.wal_failures, 0u);
+    EXPECT_FALSE(stats.durable);
+    if (plan.fail_sync) {
+      EXPECT_GT(faults.syncs(), 0u);  // the Flush synced, and it failed
+    } else {
+      // The append crossing K kept only its prefix; nothing followed.
+      EXPECT_EQ(faults.bytes_appended(), torn_at);
+    }
+
+    // Losing the WAL freezes durability, not decisions.
+    const auto expected = ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                            DiversityThresholds{});
+    ExpectServedTimelinesMatch(client, expected);
+
+    const std::string health =
+        AwaitHttpStatus(debug_server, "/healthz", 503);
+    EXPECT_EQ(health, "unhealthy: " + std::to_string(stats.wal_failures) +
+                          " shard WAL failure(s): new posts are not "
+                          "durable\n");
+    const std::string status = debug.status_json();
+    EXPECT_NE(status.find("\"durable\":false"), std::string::npos) << status;
+    EXPECT_NE(status.find("\"wal_failures\":" +
+                          std::to_string(stats.wal_failures)),
+              std::string::npos)
+        << status;
+    const std::string varz = debug.varz_json();
+    EXPECT_NE(varz.find("\"serve.durable\": {\"value\": 0"), std::string::npos)
+        << varz;
+    EXPECT_NE(varz.find("\"serve.wal_failures\": " +
                         std::to_string(stats.wal_failures)),
-            std::string::npos)
-      << status;
-  const std::string varz = debug.varz_json();
-  EXPECT_NE(varz.find("\"serve.durable\": {\"value\": 0"), std::string::npos)
-      << varz;
-  EXPECT_NE(varz.find("\"serve.wal_failures\": " +
-                      std::to_string(stats.wal_failures)),
-            std::string::npos)
-      << varz;
-  client.Disconnect();
-  server.Stop();
+              std::string::npos)
+        << varz;
+    client.Disconnect();
+    server.Stop();
+    debug_server.Stop();
+  }
 }
 
 TEST_F(NetServeTest, ParkedWorkerWakesForEveryRoundTripOneShard) {

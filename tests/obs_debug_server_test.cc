@@ -39,6 +39,14 @@ TEST(DebugStateTest, PublishesAndReadsBackSnapshots) {
   state.PublishMetrics("prom-2", "varz-2");
   EXPECT_EQ(state.metrics_prometheus(), "prom-2");
   EXPECT_EQ(state.publish_count(), 2u);
+
+  // Health travels with the status block: a status published without a
+  // reason clears the last one.
+  EXPECT_TRUE(state.unhealthy_reason().empty());
+  state.PublishStatus("{}", "shard WAL dropped");
+  EXPECT_EQ(state.unhealthy_reason(), "shard WAL dropped");
+  state.PublishStatus("{}");
+  EXPECT_TRUE(state.unhealthy_reason().empty());
 }
 
 TEST(DebugServerTest, HealthzAndUnknownRoute) {
@@ -52,6 +60,38 @@ TEST(DebugServerTest, HealthzAndUnknownRoute) {
                                     &status);
   EXPECT_EQ(status, 404);
   EXPECT_NE(missing.find("/statusz"), std::string::npos);
+  server.Stop();
+}
+
+TEST(DebugServerTest, HealthzFailsWhileAWatchdogTaskIsStalled) {
+  ManualClock clock(0);
+  Watchdog watchdog(1'000'000'000, &clock);
+  const int task = watchdog.RegisterTask("consumer");
+  watchdog.ReportProgress(task, 5);
+  watchdog.SetQueueDepth(task, 2);
+  EXPECT_EQ(watchdog.Poll(), 0);
+
+  DebugServer::Options options;
+  options.clock = &clock;
+  options.watchdog = &watchdog;
+  DebugServer server(options);
+  ASSERT_TRUE(server.Start(0));
+  int status = 0;
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
+
+  // Work queued, no progress for longer than the stall window: tripped.
+  clock.AdvanceNanos(2'000'000'000);
+  EXPECT_EQ(watchdog.Poll(), 1);
+  EXPECT_EQ(Fetch(server, "/healthz", &status),
+            "unhealthy: watchdog task consumer stalled\n");
+  EXPECT_EQ(status, 503);
+
+  // Progress re-arms the slot and health comes back.
+  watchdog.ReportProgress(task, 6);
+  EXPECT_EQ(watchdog.Poll(), 0);
+  EXPECT_EQ(Fetch(server, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
   server.Stop();
 }
 

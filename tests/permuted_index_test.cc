@@ -53,6 +53,32 @@ TEST(PermutedIndexTest, MaxTablesCapRejectsHugeConfigs) {
   EXPECT_FALSE(index.valid());
 }
 
+TEST(PermutedIndexTest, PaperLambda18CannotPrune) {
+  // The paper's λc = 18 (§3): no block count B yields a usable index.
+  // Either C(B, 18) exceeds a 64-table probe budget, or the tables are so
+  // many and their exact-match prefixes so short (T >= 2^prefix) that a
+  // uniform probe examines about T·n/2^prefix >= n candidates — at least
+  // the whole bin a linear scan would walk.
+  constexpr int kLambdaC = 18;
+  constexpr int kMaxTables = 64;
+  int within_budget = 0;
+  for (int blocks = kLambdaC + 1; blocks <= 64; ++blocks) {
+    PermutedSimHashIndex index(blocks, kLambdaC, kMaxTables);
+    if (!index.valid()) {
+      const int64_t tables =
+          PermutedSimHashIndex::TableCountFor(blocks, kLambdaC);
+      EXPECT_TRUE(tables < 0 || tables > kMaxTables) << "B=" << blocks;
+      continue;
+    }
+    ++within_budget;
+    ASSERT_LT(index.PrefixBits(), 63) << "B=" << blocks;
+    EXPECT_GE(static_cast<uint64_t>(index.NumTables()),
+              uint64_t{1} << index.PrefixBits())
+        << "B=" << blocks;
+  }
+  EXPECT_GT(within_budget, 0);  // B = 19: 19 tables of 3-bit prefixes
+}
+
 TEST(PermutedIndexTest, FindsExactMatch) {
   PermutedSimHashIndex index(6, 3);
   index.Insert(0xDEADBEEFCAFEF00DULL, 1);
