@@ -54,13 +54,6 @@ struct AnalysisContext {
   /// Semantic model (functions, types, annotations). Built only when a
   /// sema pass is enabled; null otherwise — sema passes no-op on null.
   const sema::SemaModel* sema = nullptr;
-  /// Paths whose per-file findings are replayed from the result cache;
-  /// file-scoped passes must skip them. Null or empty: analyze all.
-  const std::set<std::string>* skip_paths = nullptr;
-
-  bool Skipped(const std::string& path) const {
-    return skip_paths != nullptr && skip_paths->count(path) > 0;
-  }
 };
 
 using PassFn = void (*)(const AnalysisContext&, std::vector<Finding>*);
@@ -71,12 +64,6 @@ struct RegisteredPass {
   /// True when the pass reads context.sema; Analyze builds the model on
   /// demand when any such pass is enabled.
   bool needs_sema = false;
-  /// True when the pass's findings for a file depend only on that file
-  /// and its include closure — the precondition for replaying them from
-  /// the per-file result cache. Interprocedural passes (call chains can
-  /// start anywhere) and cross-file aggregations are global and always
-  /// rerun.
-  bool file_scoped = false;
 };
 
 /// The pass registry; execution order is registration order: the graph
@@ -87,31 +74,14 @@ struct RegisteredPass {
 /// ordering-discipline).
 const std::vector<RegisteredPass>& PassRegistry();
 
-/// True when `check` is registered file-scoped (see RegisteredPass).
-bool IsFileScopedCheck(const std::string& check);
-
-/// Stable hash of the registered rule tables: every check name and
-/// description plus an epoch bumped when pass semantics change without
-/// a registry edit. A cache written under a different rule-table hash
-/// is discarded wholesale.
-uint64_t RuleTableHash();
-
 /// CheckInfo of every registered pass, in execution order.
 const std::vector<CheckInfo>& AllChecks();
-
-struct AnalysisCache;
 
 struct AnalysisOptions {
   /// Contents of tools/layers.txt. Empty disables the layering pass.
   std::string layers_text;
   /// Check names to run; empty means all. Unknown names are an error.
   std::set<std::string> checks;
-  /// Optional per-file result cache (in/out). Files whose content and
-  /// include-closure hashes match their cache entry have their
-  /// file-scoped findings replayed instead of recomputed; entries are
-  /// refreshed for everything analyzed. The caller owns config matching
-  /// — hand Analyze a cache only if its config_hash matches the run.
-  AnalysisCache* cache = nullptr;
 };
 
 struct AnalysisResult {
@@ -123,11 +93,6 @@ struct AnalysisResult {
   /// suppressions already applied.
   std::vector<Finding> findings;
   size_t file_count = 0;
-  /// Files whose file-scoped findings were replayed from the cache /
-  /// recomputed this run (cache_hits + cache_misses == file_count when
-  /// a cache was supplied; both 0 otherwise).
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
   /// (pass name, milliseconds) in execution order, for --stats.
   std::vector<std::pair<std::string, double>> pass_ms;
 };

@@ -31,8 +31,8 @@ struct OwnedDiversifier {
 /// The S_* engines' unit of work (§5), owned in one place: a set of
 /// shared components, each with its induced subgraph, clique cover and
 /// diversifier, plus the author → component routing. The sequential
-/// S_* engine holds every component in one set; a sharded runtime or a
-/// serve shard builds one set from just the components it owns.
+/// S_* engine holds every component in one set; a serve shard builds
+/// one set from just the components it owns.
 /// Components never interact, so the union of the sets' deliveries is
 /// the sequential engine's.
 class ComponentSet {

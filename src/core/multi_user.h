@@ -41,7 +41,7 @@ struct User {
 /// of work of the S_* engines (§5): users whose subscription graphs
 /// contain the identical author set as a connected component (and whose
 /// effective thresholds agree) share one diversifier over it. Exposed so
-/// the sharded runtime can parallelize over components.
+/// the serve shards can place and decide components in parallel.
 struct SharedComponent {
   std::vector<AuthorId> authors;  ///< sorted component author set
   std::vector<UserId> users;      ///< sorted owners

@@ -61,7 +61,6 @@
 #include "src/runtime/latency.h"
 #include "src/runtime/live_ingest.h"
 #include "src/runtime/pipeline.h"
-#include "src/runtime/sharded.h"
 #include "src/runtime/spsc_queue.h"
 #include "src/gen/social_graph_gen.h"
 #include "src/gen/stream_gen.h"

@@ -15,7 +15,7 @@ namespace net {
 /// The unit of placement is a *shared component*, never an author: every
 /// author of a component lands on the component's shard, so the per-shard
 /// diversifier always sees its full similarity neighborhood and the
-/// networked deployment reproduces the in-process sharded pipeline
+/// networked deployment reproduces the sequential S_* engine
 /// bit-for-bit. Components are keyed by the hash of their sorted author
 /// set (ComponentKey), which is stable across restarts regardless of the
 /// order components are discovered in.

@@ -22,18 +22,12 @@ struct LatencySummary {
 /// ("immediately decide whether a post should be pushed") is quantified
 /// as the per-post decision latency distribution this recorder captures.
 ///
-/// A thin nanosecond-unit wrapper over obs::LogHistogram; recorders
-/// merge, so per-shard and per-user distributions aggregate into one.
+/// A thin nanosecond-unit wrapper over obs::LogHistogram, owned by the
+/// one run loop that records into it.
 class LatencyRecorder {
  public:
   /// Records one sample, in nanoseconds.
   void RecordNanos(uint64_t nanos) { histogram_.Record(nanos); }
-
-  /// Adds every sample of `other` into this recorder. Bucket counts,
-  /// count, sum and max all combine exactly; merge order is irrelevant.
-  void MergeFrom(const LatencyRecorder& other) {
-    histogram_.MergeFrom(other.histogram_);
-  }
 
   /// Percentiles computed from bucket boundaries (upper edge).
   LatencySummary Summarize() const;

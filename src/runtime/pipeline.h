@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/core/diversifier.h"
-#include "src/core/multi_user.h"
 #include "src/dur/durable.h"
 #include "src/obs/clock.h"
 #include "src/obs/debug_server.h"
@@ -149,24 +148,6 @@ class Pipeline {
  private:
   Diversifier* diversifier_;
   PostSink* sink_;
-};
-
-/// Multi-user real-time pipeline (the M-SPSD deployment of Figure 1b):
-/// one central engine, per-user delivery callbacks.
-class MultiUserPipeline {
- public:
-  using DeliveryFn = std::function<void(const Post&, UserId)>;
-
-  MultiUserPipeline(MultiUserEngine* engine, DeliveryFn on_delivery)
-      : engine_(engine), on_delivery_(std::move(on_delivery)) {}
-
-  /// As Pipeline::Run; `pipeline.deliveries` counts per-user fanout.
-  /// (No per-post comparisons histogram: AggregateStats is O(users).)
-  PipelineReport Run(PostSource& source, const PipelineObs& o = {});
-
- private:
-  MultiUserEngine* engine_;
-  DeliveryFn on_delivery_;
 };
 
 }  // namespace firehose

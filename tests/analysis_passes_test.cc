@@ -357,6 +357,31 @@ TEST(AnalyzeTest, AllChecksHaveUniqueNamesAndDescriptions) {
   }
 }
 
+// --- --stats per-pass timers ------------------------------------------------
+
+std::vector<SourceFile> TwoFileTree(const std::string& b_body) {
+  return {
+      {"src/core/a.cc",
+       "int* Make() {\n"
+       "  return new int;\n"  // raw-new-delete fires here
+       "}\n"},
+      {"src/core/b.cc", b_body},
+  };
+}
+
+TEST(CacheReplayTest, StatsTimersCoverEveryEnabledPass) {
+  AnalysisOptions options;
+  options.checks = {"raw-new-delete", "include-guard"};
+  const AnalysisResult result =
+      Analyze(TwoFileTree("void Idle() {}\n"), options);
+  ASSERT_TRUE(result.ok) << result.error;
+  ASSERT_EQ(result.pass_ms.size(), 2u);
+  for (const auto& [name, ms] : result.pass_ms) {
+    EXPECT_TRUE(name == "raw-new-delete" || name == "include-guard") << name;
+    EXPECT_GE(ms, 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace analysis
 }  // namespace firehose

@@ -1,0 +1,165 @@
+// ComponentSet partitions: §5's shared components never interact, so the
+// components of ComputeSharedComponents split round-robin into k sets,
+// each deciding the whole stream on its own, must deliver exactly what
+// the sequential S_* engine delivers and do exactly its work. A serve
+// shard is one such set.
+
+#include "src/core/component_set.h"
+
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "src/eval/experiment.h"
+#include "tests/test_util.h"
+
+namespace firehose {
+namespace {
+
+using Deliveries = std::vector<std::pair<PostId, UserId>>;
+
+struct Workbench {
+  AuthorGraph graph;
+  std::vector<User> users;
+  PostStream stream;
+};
+
+Workbench MakeWorkbench(uint64_t seed, int num_authors, int num_users,
+                        int num_posts) {
+  Rng rng(seed);
+  Workbench w;
+  w.graph = testing_util::RandomAuthorGraph(num_authors, 0.25, rng);
+  for (UserId u = 0; u < static_cast<UserId>(num_users); ++u) {
+    std::vector<AuthorId> subs;
+    for (AuthorId a = 0; a < static_cast<AuthorId>(num_authors); ++a) {
+      if (rng.Bernoulli(0.4)) subs.push_back(a);
+    }
+    if (subs.empty()) subs.push_back(0);
+    w.users.push_back(User{u, subs});
+  }
+  w.stream = testing_util::RandomStream(num_posts, num_authors, 25, rng);
+  return w;
+}
+
+/// The components split round-robin, in discovery order, into `k` sets.
+std::vector<ComponentSet> Partition(Algorithm algorithm,
+                                    const DiversityThresholds& t,
+                                    const Workbench& w, size_t k) {
+  std::vector<std::vector<SharedComponent>> owned(k);
+  size_t next = 0;
+  for (SharedComponent& shared : ComputeSharedComponents(t, w.graph, w.users)) {
+    owned[next++ % k].push_back(std::move(shared));
+  }
+  std::vector<ComponentSet> sets;
+  sets.reserve(k);
+  for (std::vector<SharedComponent>& part : owned) {
+    sets.emplace_back(algorithm, w.graph, std::move(part));
+  }
+  return sets;
+}
+
+/// Every set decides the whole stream through OfferBatch; the deliveries
+/// are merged and sorted by (post, user).
+Deliveries DecideAll(std::vector<ComponentSet>& sets,
+                     const PostStream& stream) {
+  Deliveries merged;
+  std::vector<MultiUserEngine::BatchDelivery> batch;
+  for (ComponentSet& set : sets) {
+    set.OfferBatch(std::span<const Post>(stream), &batch);
+    for (const MultiUserEngine::BatchDelivery& d : batch) {
+      merged.emplace_back(stream[d.post_index].id, d.user);
+    }
+  }
+  std::sort(merged.begin(), merged.end());
+  return merged;
+}
+
+Deliveries SequentialDeliveries(MultiUserEngine& engine,
+                                const PostStream& stream) {
+  Deliveries deliveries;
+  RunMultiUser(engine, stream, &deliveries);
+  std::sort(deliveries.begin(), deliveries.end());
+  return deliveries;
+}
+
+class ShardedTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ShardedTest, MatchesSequentialSEngineExactly) {
+  const size_t k = GetParam();
+  const Workbench w = MakeWorkbench(91, 14, 8, 500);
+  DiversityThresholds t;
+  t.lambda_c = 4;
+  t.lambda_t_ms = 400;
+
+  for (Algorithm algorithm : kAllAlgorithms) {
+    auto engine = MakeSUserEngine(algorithm, t, w.graph, w.users);
+    const Deliveries expected = SequentialDeliveries(*engine, w.stream);
+    std::vector<ComponentSet> sets = Partition(algorithm, t, w, k);
+    EXPECT_EQ(DecideAll(sets, w.stream), expected)
+        << AlgorithmName(algorithm) << " k=" << k;
+
+    uint64_t comparisons = 0;
+    uint64_t pruned = 0;
+    for (const ComponentSet& set : sets) {
+      comparisons += set.AggregateStats().comparisons;
+      pruned += set.AggregateStats().pruned;
+    }
+    EXPECT_EQ(comparisons, engine->AggregateStats().comparisons)
+        << AlgorithmName(algorithm) << " k=" << k;
+    EXPECT_EQ(pruned, engine->AggregateStats().pruned)
+        << AlgorithmName(algorithm) << " k=" << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedTest,
+                         ::testing::Values(size_t{1}, size_t{2}, size_t{3},
+                                           size_t{4}, size_t{7}));
+
+TEST(ShardedTest, CustomThresholdsPreserved) {
+  Workbench w = MakeWorkbench(93, 10, 4, 400);
+  DiversityThresholds loose;
+  loose.lambda_c = -1;  // user 0 gets everything
+  w.users[0].custom_thresholds = loose;
+  DiversityThresholds t;
+  t.lambda_c = 6;
+  t.lambda_t_ms = 500;
+  auto engine = MakeSUserEngine(Algorithm::kUniBin, t, w.graph, w.users);
+  std::vector<ComponentSet> sets = Partition(Algorithm::kUniBin, t, w, 3);
+  EXPECT_EQ(DecideAll(sets, w.stream), SequentialDeliveries(*engine, w.stream));
+}
+
+TEST(ShardedTest, EmptyStreamAndUsers) {
+  Workbench w = MakeWorkbench(95, 6, 3, 0);
+  DiversityThresholds t;
+  std::vector<ComponentSet> sets = Partition(Algorithm::kUniBin, t, w, 2);
+  EXPECT_TRUE(DecideAll(sets, w.stream).empty());
+
+  w.users.clear();
+  w.stream = testing_util::PaperExamplePosts();
+  std::vector<ComponentSet> no_users = Partition(Algorithm::kUniBin, t, w, 2);
+  for (const ComponentSet& set : no_users) EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(DecideAll(no_users, w.stream).empty());
+}
+
+TEST(ShardedTest, ComputeSharedComponentsShape) {
+  // Two users with the same subscriptions share every component; a third
+  // disjoint user adds its own.
+  const AuthorGraph graph = testing_util::PaperExampleGraph();
+  const DiversityThresholds t = testing_util::PaperExampleThresholds();
+  const std::vector<User> users = {User{0, {0, 1, 2, 3}},
+                                   User{1, {0, 1, 2, 3}},
+                                   User{2, {0}}};
+  const auto components = ComputeSharedComponents(t, graph, users);
+  // {0,1,2,3} is one connected component shared by u0+u1; {0} for u2.
+  ASSERT_EQ(components.size(), 2u);
+  EXPECT_EQ(components[0].authors, (std::vector<AuthorId>{0, 1, 2, 3}));
+  EXPECT_EQ(components[0].users, (std::vector<UserId>{0, 1}));
+  EXPECT_EQ(components[1].authors, (std::vector<AuthorId>{0}));
+  EXPECT_EQ(components[1].users, (std::vector<UserId>{2}));
+}
+
+}  // namespace
+}  // namespace firehose

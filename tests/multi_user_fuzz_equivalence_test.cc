@@ -2,9 +2,7 @@
 // user populations (overlapping subscriptions, shared connected
 // components, per-user custom thresholds) over random author graphs and
 // clustered streams. The per-user M_* engines and the shared-component
-// S_* engines must deliver identical timelines for all three algorithms,
-// and the sharded S_* runtime must reproduce the sequential deliveries
-// for every shard count.
+// S_* engines must deliver identical timelines for all three algorithms.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/multi_user.h"
-#include "src/runtime/sharded.h"
 #include "src/util/random.h"
 #include "tests/test_util.h"
 
@@ -111,40 +108,6 @@ TEST_P(MultiUserFuzzEquivalenceTest, MAndSEnginesAgreeOnRandomPopulations) {
       EXPECT_LE(s_engine->AggregateStats().comparisons,
                 m_engine->AggregateStats().comparisons)
           << AlgorithmName(algorithm);
-    }
-  }
-}
-
-TEST_P(MultiUserFuzzEquivalenceTest, ShardedRuntimeMatchesSequentialS) {
-  Rng rng(GetParam() * 7919 + 1);
-  const int num_authors = 20;
-  const AuthorGraph graph = RandomAuthorGraph(num_authors, 0.2, rng);
-  DiversityThresholds t;
-  t.lambda_c = 6;
-  t.lambda_t_ms = 400;
-  const std::vector<User> users = RandomUsers(8, num_authors, rng, t);
-  const PostStream stream = RandomStream(250, num_authors, 25, rng);
-
-  for (Algorithm algorithm : kAllAlgorithms) {
-    // Sequential S engine deliveries as (post, user) pairs.
-    auto s_engine = MakeSUserEngine(algorithm, t, graph, users);
-    std::vector<std::pair<PostId, UserId>> sequential;
-    std::vector<UserId> delivered;
-    for (const Post& post : stream) {
-      s_engine->Offer(post, &delivered);
-      for (UserId user : delivered) sequential.emplace_back(post.id, user);
-    }
-
-    for (int num_shards : {1, 2, 3}) {
-      std::vector<std::pair<PostId, UserId>> sharded;
-      const ShardedRunResult result = RunShardedSUser(
-          algorithm, t, graph, users, stream, num_shards, &sharded);
-      ASSERT_EQ(sharded, sequential)
-          << AlgorithmName(algorithm) << " shards=" << num_shards;
-      EXPECT_EQ(result.deliveries, sequential.size());
-      EXPECT_EQ(result.stats.comparisons, s_engine->AggregateStats().comparisons)
-          << AlgorithmName(algorithm) << " shards=" << num_shards;
-      EXPECT_EQ(result.stats.pruned, s_engine->AggregateStats().pruned);
     }
   }
 }

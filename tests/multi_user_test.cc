@@ -2,11 +2,13 @@
 
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/eval/experiment.h"
 #include "tests/test_util.h"
 
 namespace firehose {
@@ -172,6 +174,29 @@ TEST(MultiUserTest, Figure7UsersCanDivergeOnSharedAuthorA4) {
   by_a4.simhash = 0x7;  // content-identical to a3's post
   engine->Offer(by_a4, &delivered);
   EXPECT_EQ(delivered, (std::vector<UserId>{1}));  // covered for u1 only
+}
+
+TEST(MultiUserTest, RunMultiUserRoutesDeliveriesPerUser) {
+  // Figure 1b's central engine on the paper example: two users with
+  // disjoint subscriptions each get their own diversified timeline.
+  const AuthorGraph graph = testing_util::PaperExampleGraph();
+  // Two users: u0 follows {0,1}, u1 follows {2,3}.
+  const std::vector<User> users = {User{0, {0, 1}}, User{1, {2, 3}}};
+  auto engine = MakeSUserEngine(Algorithm::kUniBin, PaperExampleThresholds(),
+                                graph, users);
+  std::vector<std::pair<PostId, UserId>> deliveries;
+  const MultiUserRunResult result =
+      RunMultiUser(*engine, testing_util::PaperExamplePosts(), &deliveries);
+  std::map<UserId, std::vector<PostId>> timelines;
+  for (const auto& [post, user] : deliveries) timelines[user].push_back(post);
+
+  EXPECT_EQ(result.deliveries, 4u);
+  // u0 sees P1 (author 0) and P2 (author 1): no coverage within {0,1}
+  // because their contents are far (0x0 vs 0xFF = 8 bits > 3).
+  EXPECT_EQ(timelines[0], (std::vector<PostId>{0, 1}));
+  // u1 sees P3 (author 2, uncovered within {2,3}) and P4 (author 3);
+  // P5 (author 2) is covered by P4 via the 2-3 edge.
+  EXPECT_EQ(timelines[1], (std::vector<PostId>{2, 3}));
 }
 
 class MultiUserPropertyTest : public ::testing::TestWithParam<uint64_t> {};

@@ -163,18 +163,18 @@ TEST(ExportJsonTest, DropsTimingMetricsOnRequest) {
 }
 
 TEST(ExportJsonTest, MergedShardRegistriesExportIdenticalToDirect) {
-  // The sharded runtime's contract: per-shard registries merged in shard
-  // order must export the same bytes as recording into one registry.
+  // Per-shard registries merged in shard order must export the same
+  // bytes as recording into one registry.
   MetricsRegistry shard0, shard1, merged, direct;
-  shard0.GetCounter("sharded.posts_in")->Add(10);
-  shard1.GetCounter("sharded.posts_in")->Add(20);
-  shard0.GetHistogram("sharded.cmp")->Record(3);
-  shard1.GetHistogram("sharded.cmp")->Record(9);
+  shard0.GetCounter("shard.posts_in")->Add(10);
+  shard1.GetCounter("shard.posts_in")->Add(20);
+  shard0.GetHistogram("shard.cmp")->Record(3);
+  shard1.GetHistogram("shard.cmp")->Record(9);
   merged.MergeFrom(shard0);
   merged.MergeFrom(shard1);
-  direct.GetCounter("sharded.posts_in")->Add(30);
-  direct.GetHistogram("sharded.cmp")->Record(3);
-  direct.GetHistogram("sharded.cmp")->Record(9);
+  direct.GetCounter("shard.posts_in")->Add(30);
+  direct.GetHistogram("shard.cmp")->Record(3);
+  direct.GetHistogram("shard.cmp")->Record(9);
   EXPECT_EQ(ExportJson(merged), ExportJson(direct));
 }
 

@@ -66,40 +66,6 @@ TEST(LatencyRecorderTest, HugeValuesClampToLastBucket) {
   EXPECT_GT(summary.max_us, 1e9);  // > 1000s reported via exact max
 }
 
-TEST(LatencyRecorderTest, MergeFromCombinesDistributions) {
-  // Satellite of the sharded runtime: per-shard recorders merged in shard
-  // order must summarize exactly like one recorder that saw every sample.
-  LatencyRecorder shard0, shard1, direct;
-  for (uint64_t i = 1; i <= 5000; ++i) {
-    shard0.RecordNanos(i * 10);
-    direct.RecordNanos(i * 10);
-  }
-  for (uint64_t i = 5001; i <= 10000; ++i) {
-    shard1.RecordNanos(i * 10);
-    direct.RecordNanos(i * 10);
-  }
-  LatencyRecorder merged;
-  merged.MergeFrom(shard0);
-  merged.MergeFrom(shard1);
-  EXPECT_EQ(merged.count(), 10000u);
-  const LatencySummary a = merged.Summarize();
-  const LatencySummary b = direct.Summarize();
-  EXPECT_DOUBLE_EQ(a.mean_us, b.mean_us);
-  EXPECT_DOUBLE_EQ(a.p50_us, b.p50_us);
-  EXPECT_DOUBLE_EQ(a.p95_us, b.p95_us);
-  EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
-  EXPECT_DOUBLE_EQ(a.max_us, b.max_us);
-  EXPECT_EQ(merged.histogram().buckets(), direct.histogram().buckets());
-}
-
-TEST(LatencyRecorderTest, MergeFromEmptyIsIdentity) {
-  LatencyRecorder recorder, empty;
-  recorder.RecordNanos(500);
-  recorder.MergeFrom(empty);
-  EXPECT_EQ(recorder.count(), 1u);
-  EXPECT_NEAR(recorder.Summarize().max_us, 0.5, 1e-9);
-}
-
 TEST(LatencyRecorderTest, BucketResolutionWithinTenPercent) {
   // For any value, the reported percentile (bucket upper edge) should be
   // within ~+10% of the true sample.

@@ -1,10 +1,15 @@
 #include "src/runtime/pipeline.h"
 
-#include <map>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/dur/durable.h"
+#include "src/obs/clock.h"
+#include "src/obs/debug_server.h"
 #include "tests/test_util.h"
 
 namespace firehose {
@@ -74,40 +79,96 @@ TEST(PipelineTest, EmptyStream) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
-TEST(MultiUserPipelineTest, RoutesDeliveriesPerUser) {
-  const AuthorGraph graph = PaperExampleGraph();
-  // Two users: u0 follows {0,1}, u1 follows {2,3}.
-  const std::vector<User> users = {User{0, {0, 1}}, User{1, {2, 3}}};
-  auto engine = MakeSUserEngine(Algorithm::kUniBin, PaperExampleThresholds(),
-                                graph, users);
-  std::map<UserId, std::vector<PostId>> timelines;
-  MultiUserPipeline pipeline(engine.get(),
-                             [&](const Post& post, UserId user) {
-                               timelines[user].push_back(post.id);
-                             });
-  const PostStream stream = PaperExamplePosts();
-  VectorSource source(&stream);
-  const PipelineReport report = pipeline.Run(source);
+/// Pass-through source that snapshots the /statusz runtime block before
+/// yielding each post, so a test can read what a scrape saw mid-run.
+class StatusSnoopingSource final : public PostSource {
+ public:
+  StatusSnoopingSource(const PostStream* stream, const obs::DebugState* debug)
+      : inner_(stream), debug_(debug) {}
+  bool Next(Post* post) override {
+    seen.push_back(debug_->status_json());
+    return inner_.Next(post);
+  }
 
-  EXPECT_EQ(report.posts_in, 5u);
-  // u0 sees P1 (author 0) and P2 (author 1): no coverage within {0,1}
-  // because their contents are far (0x0 vs 0xFF = 8 bits > 3).
-  EXPECT_EQ(timelines[0], (std::vector<PostId>{0, 1}));
-  // u1 sees P3 (author 2, uncovered within {2,3}) and P4 (author 3);
-  // P5 (author 2) is covered by P4 via the 2-3 edge.
-  EXPECT_EQ(timelines[1], (std::vector<PostId>{2, 3}));
+  std::vector<std::string> seen;  // seen[k]: after k posts were decided
+
+ private:
+  VectorSource inner_;
+  const obs::DebugState* debug_;
+};
+
+TEST(PipelineTest, StatuszModeIsOfflineThenDrained) {
+  const AuthorGraph graph = PaperExampleGraph();
+  const PostStream stream = PaperExamplePosts();
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  CountingSink sink;
+  Pipeline pipeline(diversifier.get(), &sink);
+  obs::ManualClock clock(/*start_nanos=*/1'000, /*auto_advance_nanos=*/1'000);
+  obs::DebugState debug;
+  PipelineObs o;
+  o.clock = &clock;
+  o.debug = &debug;
+  o.publish_interval_nanos = 0;  // publish after every post
+  StatusSnoopingSource source(&stream, &debug);
+  pipeline.Run(source, o);
+
+  ASSERT_EQ(source.seen.size(), stream.size() + 1);
+  EXPECT_EQ(source.seen[0], "");  // nothing published before the first post
+  for (size_t k = 1; k < source.seen.size(); ++k) {
+    EXPECT_NE(source.seen[k].find("\"mode\": \"offline\""), std::string::npos)
+        << "after " << k << " posts: " << source.seen[k];
+  }
+  EXPECT_NE(debug.status_json().find("\"mode\": \"drained\""),
+            std::string::npos)
+      << debug.status_json();
 }
 
-TEST(MultiUserPipelineTest, NullDeliveryCallbackIsSafe) {
+TEST(PipelineTest, StatuszModeIsDurableWithASession) {
+  const std::string dir =
+      std::string("runtime_pipeline_test_tmp_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::remove_all(dir);
   const AuthorGraph graph = PaperExampleGraph();
-  const std::vector<User> users = {User{0, {0, 1, 2, 3}}};
-  auto engine = MakeMUserEngine(Algorithm::kUniBin, PaperExampleThresholds(),
-                                graph, users);
-  MultiUserPipeline pipeline(engine.get(), nullptr);
   const PostStream stream = PaperExamplePosts();
-  VectorSource source(&stream);
-  const PipelineReport report = pipeline.Run(source);
-  EXPECT_EQ(report.posts_out, 3u);
+  auto diversifier =
+      MakeDiversifier(Algorithm::kUniBin, PaperExampleThresholds(), &graph);
+  obs::ManualClock clock(/*start_nanos=*/1'000, /*auto_advance_nanos=*/1'000);
+  dur::DurableOptions options;
+  options.dir = dir;
+  options.clock = &clock;
+  dur::DurableSession session(options, diversifier.get());
+  dur::RecoveryReport recovery;
+  std::string error;
+  ASSERT_TRUE(session.Recover(&recovery, nullptr, &error)) << error;
+
+  PostStream delivered;
+  CollectSink sink(&delivered);
+  Pipeline pipeline(diversifier.get(), &sink);
+  obs::DebugState debug;
+  PipelineObs o;
+  o.clock = &clock;
+  o.debug = &debug;
+  o.publish_interval_nanos = 0;
+  PipelineDur d;
+  d.session = &session;
+  StatusSnoopingSource source(&stream, &debug);
+  const PipelineReport report = pipeline.Run(source, o, d);
+  EXPECT_FALSE(report.io_error);
+  EXPECT_EQ(delivered.size(), 3u);  // same decisions as the offline run
+
+  ASSERT_EQ(source.seen.size(), stream.size() + 1);
+  for (size_t k = 1; k < source.seen.size(); ++k) {
+    EXPECT_NE(source.seen[k].find("\"mode\": \"durable\""), std::string::npos)
+        << "after " << k << " posts: " << source.seen[k];
+    EXPECT_NE(source.seen[k].find("\"wal_next_seq\": " + std::to_string(k)),
+              std::string::npos)
+        << source.seen[k];
+  }
+  EXPECT_NE(debug.status_json().find("\"mode\": \"drained\""),
+            std::string::npos);
+  EXPECT_TRUE(session.Close(/*output_bytes=*/0));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

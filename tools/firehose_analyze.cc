@@ -21,10 +21,7 @@
 //     --prune-baseline  drop baseline entries no finding matches and exit
 //     --fail-on-stale-baseline  exit 1 when the baseline has prunable entries
 //     --list-checks     print registered checks and exit
-//     --cache=FILE      content-hash result cache: unchanged files skip their
-//                       file-scoped passes; a fully unchanged run replays the
-//                       previous findings without analyzing at all
-//     --stats           print per-pass timing and cache hit rate to stderr
+//     --stats           print per-pass timing to stderr
 //
 // Directories named `fixtures` are skipped: they hold deliberately
 // broken inputs for the analyzer's own tests.
@@ -46,7 +43,6 @@
 #include <chrono>
 
 #include "src/analysis/analyzer.h"
-#include "src/analysis/cache.h"
 #include "src/analysis/sarif.h"
 
 namespace fs = std::filesystem;
@@ -98,7 +94,6 @@ int main(int argc, char** argv) {
   bool write_baseline = false;
   bool prune_baseline = false;
   bool fail_on_stale = false;
-  std::string cache_path;
   bool stats = false;
   AnalysisOptions options;
   std::vector<std::string> inputs;
@@ -122,8 +117,6 @@ int main(int argc, char** argv) {
       while (std::getline(list, name, ',')) {
         if (!name.empty()) options.checks.insert(name);
       }
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      cache_path = value("--cache=");
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--write-baseline") {
@@ -197,53 +190,9 @@ int main(int argc, char** argv) {
     files.push_back(std::move(file));
   }
 
-  // The cache key: rule tables + enabled checks + layer config. Any
-  // mismatch makes the whole cache cold (never partially wrong).
-  uint64_t config_hash = firehose::analysis::RuleTableHash();
-  for (const std::string& check : options.checks) {
-    config_hash = firehose::analysis::HashBytes(check, config_hash);
-  }
-  config_hash = firehose::analysis::HashBytes(options.layers_text, config_hash);
-
-  firehose::analysis::AnalysisCache cache;
-  bool cache_loaded = false;
-  if (!cache_path.empty()) {
-    std::string cache_text;
-    if (ReadFile(cache_path, &cache_text) &&
-        firehose::analysis::ParseCache(cache_text, &cache) &&
-        cache.config_hash == config_hash) {
-      cache_loaded = true;
-    } else {
-      cache = firehose::analysis::AnalysisCache{};
-    }
-    cache.config_hash = config_hash;
-    options.cache = &cache;
-  }
-
-  // Full hit: same config, same file set, every byte identical — replay
-  // the previous run's findings without lexing anything.
-  bool full_hit = cache_loaded && cache.file_count == files.size();
-  if (full_hit) {
-    for (const auto& file : files) {
-      const auto it = cache.files.find(file.path);
-      if (it == cache.files.end() ||
-          it->second.content_hash != firehose::analysis::HashBytes(file.text)) {
-        full_hit = false;
-        break;
-      }
-    }
-  }
-
   const auto wall_start = std::chrono::steady_clock::now();
-  firehose::analysis::AnalysisResult result;
-  if (full_hit) {
-    result.ok = true;
-    result.findings = cache.all_findings;
-    result.file_count = files.size();
-    result.cache_hits = files.size();
-  } else {
-    result = firehose::analysis::Analyze(files, options);
-  }
+  const firehose::analysis::AnalysisResult result =
+      firehose::analysis::Analyze(files, options);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)
@@ -253,27 +202,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!cache_path.empty() && !full_hit) {
-    std::ofstream out(cache_path, std::ios::binary);
-    out << firehose::analysis::FormatCache(cache);
-    if (!out) {
-      std::cerr << "firehose_analyze: warning: cannot write cache "
-                << cache_path << "\n";  // a lost cache is only a slow rerun
-    }
-  }
-
   if (stats) {
     std::cerr << "firehose_analyze stats:\n"
               << "  files:        " << result.file_count << "\n"
-              << "  cache:        " << result.cache_hits << " hits, "
-              << result.cache_misses << " misses";
-    if (result.file_count > 0) {
-      std::cerr << " ("
-                << (100.0 * static_cast<double>(result.cache_hits) /
-                    static_cast<double>(result.file_count))
-                << "% hit rate" << (full_hit ? ", full replay" : "") << ")";
-    }
-    std::cerr << "\n  wall:         " << wall_ms << " ms\n";
+              << "  wall:         " << wall_ms << " ms\n";
     for (const auto& [pass, ms] : result.pass_ms) {
       std::cerr << "  pass " << pass << ": " << ms << " ms\n";
     }
