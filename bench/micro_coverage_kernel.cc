@@ -26,6 +26,7 @@
 
 #include "bench/bench_common.h"
 #include "src/core/kernels/dispatch.h"
+#include "src/util/bitops.h"
 #include "src/util/timer.h"
 
 namespace firehose {
@@ -55,17 +56,19 @@ struct AosBin {
 };
 
 /// Verbatim shape of the seed UniBin scan: newest-first, per-entry
-/// gather + per-entry counter increment + CoversContentAndAuthor.
+/// gather + per-entry counter increment + the seed's cover predicate
+/// (content first; here no other author is similar).
 bool ScalarScan(const AosBin& bin, uint64_t simhash, AuthorId author,
                 const DiversityThresholds& t, uint64_t* comparisons) {
-  auto author_similar = [](AuthorId) { return false; };
   for (size_t i = 0; i < bin.size; ++i) {
     const BinEntry& entry = bin.entries[(bin.head + bin.size - 1 - i) & bin.mask];
     ++*comparisons;
-    if (internal::CoversContentAndAuthor(entry, simhash, author, t,
-                                         author_similar)) {
-      return true;
+    if (t.use_content &&
+        HammingDistance64(entry.simhash, simhash) > t.lambda_c) {
+      continue;
     }
+    if (t.use_author && entry.author != author) continue;
+    return true;
   }
   return false;
 }

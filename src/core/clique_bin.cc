@@ -1,7 +1,6 @@
 #include "src/core/clique_bin.h"
 
 #include "src/core/coverage_kernel.h"
-#include "src/obs/trace.h"
 
 namespace firehose {
 
@@ -21,49 +20,17 @@ PostBin& CliqueBinDiversifier::BinOf(CliqueId clique) {
 }
 
 bool CliqueBinDiversifier::Offer(const Post& post) {
-  ++stats_.posts_in;
-  const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
+  // Route: the bins of the author's cliques, scanned and inserted into.
+  // Clique members are pairwise neighbors, so only content is checked.
   const std::span<const CliqueId> cliques = cover_->CliquesOf(post.author);
-
-  // Posts sharing a clique with the author are by construction similar to
-  // it (clique members are pairwise neighbors), so only content is checked.
-  auto author_similar = [](AuthorId) { return true; };
-  bool covered = false;
-  size_t evicted = 0;
-  for (CliqueId clique : cliques) {
-    PostBin& bin = BinOf(clique);
-    evicted += bin.EvictOlderThan(cutoff);
-    const CoverageScanResult scan =
-        ScanCoveredSimHash(bin, cutoff, post.simhash, post.author,
-                           thresholds_, author_similar);
-    stats_.comparisons += scan.comparisons;
-    stats_.pruned += scan.pruned;
-    if (scan.covered) {
-      covered = true;
-      break;
-    }
-  }
-  if (evicted > 0) {
-    stats_.evictions += evicted;
-    obs::GlobalTraceInstant("CliqueBin.evict", "bin");
-  }
-  if (covered) {
-    stats_.UpdatePeak(ApproxBytes());
-    return false;
-  }
-
-  const BinEntry entry{post.time_ms, post.simhash, post.author, post.id};
-  // The scan touched every clique, so each bin has its slot already.
-  for (CliqueId clique : cliques) {
-    PostBin& bin = bins_[slot_of_[clique]];
-    const size_t before = bin.ApproxBytes();
-    bin.Push(entry);
-    bins_bytes_ += bin.ApproxBytes() - before;
-    ++stats_.insertions;
-  }
-  ++stats_.posts_out;
+  const BinOfferResult offer = OfferToBins(
+      post, post.time_ms - thresholds_.lambda_t_ms, cliques.size(),
+      cliques.size(), [&](size_t i) -> PostBin& { return BinOf(cliques[i]); },
+      SimHashScan(post, thresholds_, [](AuthorId) { return true; }),
+      "CliqueBin.evict", &stats_);
+  bins_bytes_ += offer.grown_bytes;
   stats_.UpdatePeak(ApproxBytes());
-  return true;
+  return offer.admitted;
 }
 
 BinOccupancy CliqueBinDiversifier::bin_occupancy() const {
@@ -87,41 +54,28 @@ void CliqueBinDiversifier::SaveState(BinaryWriter* out) const {
   internal::WrapChecksummed(payload, out);
 }
 
-void CliqueBinDiversifier::Clear() {
-  slot_of_.assign(slot_of_.size(), kNoSlot);
-  bins_ = std::vector<PostBin>();  // release capacity: ApproxBytes counts it
-  bins_bytes_ = 0;
-}
-
 bool CliqueBinDiversifier::LoadState(BinaryReader& in) {
-  Clear();
-  std::string payload;
-  if (internal::UnwrapChecksummed(in, &payload)) {
-    BinaryReader state(payload);
-    if (LoadStatePayload(state)) return true;
-  }
-  // Malformed snapshot: reset to empty so the object stays usable.
-  stats_ = IngestStats{};
-  Clear();
-  return false;
-}
-
-bool CliqueBinDiversifier::LoadStatePayload(BinaryReader& in) {
-  if (!internal::LoadStats(in, &stats_)) return false;
-  uint64_t count;
-  if (!in.GetVarint(&count)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t clique;
-    // An id outside the cover, or one seen before, is a corrupt snapshot.
-    if (!in.GetVarint(&clique) || clique >= slot_of_.size() ||
-        slot_of_[clique] != kNoSlot) {
-      return false;
+  auto load = [&](BinaryReader& state) {
+    uint64_t count;
+    if (!state.GetVarint(&count)) return false;
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t clique;
+      // An id outside the cover, or one seen before, is a corrupt snapshot.
+      if (!state.GetVarint(&clique) || clique >= slot_of_.size() ||
+          slot_of_[clique] != kNoSlot) {
+        return false;
+      }
+      PostBin& bin = BinOf(static_cast<CliqueId>(clique));
+      if (!bin.Load(state)) return false;
+      bins_bytes_ += bin.ApproxBytes();
     }
-    PostBin& bin = BinOf(static_cast<CliqueId>(clique));
-    if (!bin.Load(in)) return false;
-    bins_bytes_ += bin.ApproxBytes();
-  }
-  return in.AtEnd();
+    return true;
+  };
+  return internal::LoadChecksummed(in, &stats_, load, [&] {
+    slot_of_.assign(slot_of_.size(), kNoSlot);
+    bins_ = std::vector<PostBin>();  // release capacity: ApproxBytes counts it
+    bins_bytes_ = 0;
+  });
 }
 
 size_t CliqueBinDiversifier::ApproxBytes() const {

@@ -35,11 +35,8 @@ class CliqueBinDiversifier final : public Diversifier {
  private:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  bool LoadStatePayload(BinaryReader& in);
   /// The bin of `clique`, materialized on first touch.
   PostBin& BinOf(CliqueId clique);
-  /// Drops every bin, leaving the diversifier as constructed (bar stats).
-  void Clear();
 
   const DiversityThresholds thresholds_;
   const CliqueCover* cover_;  // not owned

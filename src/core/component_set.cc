@@ -1,44 +1,103 @@
 #include "src/core/component_set.h"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <utility>
+
+#include "src/author/clique_cover.h"
+#include "src/core/coverage_kernel.h"
 
 namespace firehose {
 
-void OwnedDiversifier::Init(Algorithm algorithm, const DiversityThresholds& t,
-                            AuthorGraph subgraph) {
-  graph = std::move(subgraph);
-  if (algorithm == Algorithm::kCliqueBin) {
-    cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(graph));
-  }
-  diversifier = MakeDiversifier(algorithm, t, &graph, cover.get());
-}
-
-size_t OwnedDiversifier::ApproxBytes() const {
-  size_t bytes = diversifier->ApproxBytes() + graph.ApproxBytes();
-  if (cover != nullptr) bytes += cover->ApproxBytes();
-  return bytes;
-}
-
 ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
-                           std::vector<SharedComponent> components) {
-  AuthorId max_author = 0;
+                           std::vector<SharedComponent> components)
+    : algorithm_(algorithm),
+      evict_event_(std::string(AlgorithmName(algorithm)) + ".evict") {
+  // Routes and their bin ids come out component by component. Below, the
+  // routes are regrouped by author (stably: component order within an
+  // author) and their bin ids copied so an author's ids are contiguous.
+  std::vector<std::pair<AuthorId, Route>> routes;
+  std::vector<uint32_t> bin_ids;
+  std::vector<AuthorId> set_authors;
+  uint32_t num_bins = 0;
   components_.reserve(components.size());
-  for (SharedComponent& shared : components) {
-    for (AuthorId a : shared.authors) max_author = std::max(max_author, a);
-    Component& c = components_.emplace_back();
-    c.authors = std::move(shared.authors);
-    c.users = std::move(shared.users);
-    c.engine = std::make_unique<OwnedDiversifier>();
-    c.engine->Init(algorithm, shared.thresholds,
-                   graph.InducedSubgraph(c.authors));
-  }
-  author_components_.assign(static_cast<size_t>(max_author) + 1, {});
-  for (size_t i = 0; i < components_.size(); ++i) {
-    for (AuthorId a : components_[i].authors) {
-      author_components_[a].push_back(i);
+  for (const SharedComponent& shared : components) {
+    const auto index = static_cast<uint32_t>(components_.size());
+    const auto t = static_cast<uint32_t>(
+        std::find(thresholds_.begin(), thresholds_.end(), shared.thresholds) -
+        thresholds_.begin());
+    if (t == thresholds_.size()) thresholds_.push_back(shared.thresholds);
+    const auto owners_begin = static_cast<uint32_t>(owners_.size());
+    owners_.insert(owners_.end(), shared.users.begin(), shared.users.end());
+    components_.push_back(
+        Component{t, owners_begin, static_cast<uint32_t>(owners_.size())});
+
+    const std::vector<AuthorId>& authors = shared.authors;
+    const AuthorGraph subgraph = graph.InducedSubgraph(authors);
+    std::optional<CliqueCover> cover;
+    if (algorithm == Algorithm::kCliqueBin) {
+      cover = CliqueCover::Greedy(subgraph);
     }
+    for (size_t i = 0; i < authors.size(); ++i) {
+      const auto begin = static_cast<uint32_t>(bin_ids.size());
+      switch (algorithm) {
+        case Algorithm::kUniBin:  // the component's one bin
+          bin_ids.push_back(num_bins);
+          break;
+        case Algorithm::kNeighborBin:  // bin(a), then each neighbor's bin
+          bin_ids.push_back(num_bins + static_cast<uint32_t>(i));
+          for (AuthorId n : subgraph.Neighbors(authors[i])) {
+            bin_ids.push_back(num_bins +
+                              static_cast<uint32_t>(
+                                  std::lower_bound(authors.begin(),
+                                                   authors.end(), n) -
+                                  authors.begin()));
+          }
+          break;
+        case Algorithm::kCliqueBin:  // the bins of the author's cliques
+          for (CliqueId clique : cover->CliquesOf(authors[i])) {
+            bin_ids.push_back(num_bins + clique);
+          }
+          break;
+      }
+      const auto end = static_cast<uint32_t>(bin_ids.size());
+      const uint32_t scan_end =
+          algorithm == Algorithm::kCliqueBin ? end : begin + 1;
+      routes.emplace_back(authors[i], Route{index, begin, scan_end, end});
+    }
+    if (algorithm == Algorithm::kUniBin) {
+      set_authors.insert(set_authors.end(), authors.begin(), authors.end());
+    }
+    num_bins += static_cast<uint32_t>(
+        algorithm == Algorithm::kUniBin ? 1
+        : cover.has_value()             ? cover->num_cliques()
+                                        : authors.size());
   }
+  if (algorithm == Algorithm::kUniBin) {
+    author_graph_ = graph.InducedSubgraph(set_authors);
+  }
+  bins_.resize(num_bins);
+
+  std::stable_sort(routes.begin(), routes.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (!routes.empty()) {
+    route_offsets_.assign(size_t{routes.back().first} + 2, 0);
+  }
+  routes_.reserve(routes.size());
+  route_bins_.reserve(bin_ids.size());
+  for (const auto& [author, route] : routes) {
+    ++route_offsets_[author + 1];
+    const auto begin = static_cast<uint32_t>(route_bins_.size());
+    route_bins_.insert(route_bins_.end(), bin_ids.begin() + route.begin,
+                       bin_ids.begin() + route.end);
+    routes_.push_back(Route{route.component, begin,
+                            begin + (route.scan_end - route.begin),
+                            static_cast<uint32_t>(route_bins_.size())});
+  }
+  std::partial_sum(route_offsets_.begin(), route_offsets_.end(),
+                   route_offsets_.begin());
 }
 
 size_t ComponentSet::OfferBatch(
@@ -47,21 +106,33 @@ size_t ComponentSet::OfferBatch(
   deliveries->clear();
   for (size_t i = 0; i < posts.size(); ++i) {
     const Post& post = posts[i];
-    if (post.author >= author_components_.size()) continue;
+    if (size_t{post.author} + 1 >= route_offsets_.size()) continue;
+    // NeighborBin and CliqueBin bins hold only similar authors' posts.
+    auto author_similar = [&](AuthorId other) {
+      return algorithm_ != Algorithm::kUniBin ||
+             author_graph_.IsNeighbor(post.author, other);
+    };
     const size_t first = deliveries->size();
     size_t admitting = 0;
-    for (size_t index : author_components_[post.author]) {
-      Component& c = components_[index];
-      Diversifier& diversifier = *c.engine->diversifier;
-      const size_t before = diversifier.ApproxBytes();
-      if (diversifier.Offer(post)) {
+    const uint32_t routes_end = route_offsets_[post.author + 1];
+    for (uint32_t r = route_offsets_[post.author]; r < routes_end; ++r) {
+      const Route& route = routes_[r];
+      const Component& c = components_[route.component];
+      const DiversityThresholds& t = thresholds_[c.thresholds];
+      const uint32_t* ids = route_bins_.data() + route.begin;
+      const BinOfferResult offer = OfferToBins(
+          post, post.time_ms - t.lambda_t_ms, route.scan_end - route.begin,
+          route.end - route.begin,
+          [&](size_t k) -> PostBin& { return bins_[ids[k]]; },
+          SimHashScan(post, t, author_similar), evict_event_.c_str(), &stats_);
+      bins_scanned_ += offer.bins_scanned;
+      live_bin_bytes_ += static_cast<int64_t>(offer.grown_bytes);
+      if (offer.admitted) {
         ++admitting;
-        for (UserId user : c.users) {
-          deliveries->push_back({static_cast<uint32_t>(i), user});
+        for (uint32_t o = c.owners_begin; o < c.owners_end; ++o) {
+          deliveries->push_back({static_cast<uint32_t>(i), owners_[o]});
         }
       }
-      live_bin_bytes_ += static_cast<int64_t>(diversifier.ApproxBytes()) -
-                         static_cast<int64_t>(before);
     }
     peak_live_bytes_ = std::max(peak_live_bytes_, live_bin_bytes_);
     // One component's owners are already sorted; several interleave.
@@ -78,32 +149,27 @@ size_t ComponentSet::OfferBatch(
 }
 
 IngestStats ComponentSet::AggregateStats() const {
-  IngestStats total;
-  for (const Component& c : components_) {
-    total.MergeFrom(c.engine->diversifier->stats());
-  }
-  // MergeFrom's max over per-component peaks undercounts memory that is
-  // resident at the same time in different components' bins. Graphs,
-  // covers and routing tables are fixed after construction, so the
-  // set-wide high-water is today's total minus today's bins plus the bin
-  // peak (Figures 11-16 report RAM).
+  IngestStats total = stats_;
+  // Only the rings grow after construction, so the set-wide high-water
+  // is today's total minus today's rings plus the ring peak (Figures
+  // 11-16 report RAM). Components share one bin array and are not
+  // tracked apart, so both peak bounds are this one.
   total.peak_bytes = static_cast<size_t>(
       static_cast<int64_t>(ApproxBytes()) - live_bin_bytes_ +
       peak_live_bytes_);
+  total.sum_peak_bytes = total.peak_bytes;
   return total;
 }
 
 size_t ComponentSet::ApproxBytes() const {
-  size_t bytes = 0;
-  for (const Component& c : components_) {
-    bytes += c.engine->ApproxBytes();
-    bytes += c.authors.capacity() * sizeof(AuthorId);
-    bytes += c.users.capacity() * sizeof(UserId);
-  }
-  for (const auto& v : author_components_) {
-    bytes += v.capacity() * sizeof(size_t);
-  }
-  return bytes;
+  return static_cast<size_t>(live_bin_bytes_) +
+         bins_.capacity() * sizeof(PostBin) + author_graph_.ApproxBytes() +
+         route_offsets_.capacity() * sizeof(uint32_t) +
+         routes_.capacity() * sizeof(Route) +
+         route_bins_.capacity() * sizeof(uint32_t) +
+         components_.capacity() * sizeof(Component) +
+         owners_.capacity() * sizeof(UserId) +
+         thresholds_.capacity() * sizeof(DiversityThresholds);
 }
 
 }  // namespace firehose

@@ -16,26 +16,19 @@ CosineUniBinDiversifier::CosineUniBinDiversifier(
       graph_(graph) {}
 
 bool CosineUniBinDiversifier::Offer(const Post& post) {
-  ++stats_.posts_in;
-  const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
-  const size_t evicted = bin_.EvictOlderThan(cutoff);
-  for (size_t i = 0; i < evicted; ++i) {
-    vectors_bytes_ -= VectorBytes(vectors_.front());
-    vectors_.pop_front();
-  }
-  stats_.evictions += evicted;
-
-  const TfVector vector = TfVector::FromText(Normalize(post.text));
+  TfVector vector = TfVector::FromText(Normalize(post.text));
 
   // The generic kernel path: the cover lambda addresses the parallel term
-  // vectors by the bin's logical from-oldest index. The sparse dot runs
+  // vectors by the bin's logical from-oldest index, offset past the
+  // vectors of entries the ring has just evicted. The sparse dot runs
   // through the dispatched SIMD kernel; it is integer-exact, so every
   // variant produces the same similarity as TfVector::CosineSimilarity.
   const kernels::KernelOps& ops = kernels::ActiveKernelOps();
   auto covers = [&](size_t from_oldest, int64_t /*time_ms*/,
                     uint64_t /*simhash*/, AuthorId author) {
     if (thresholds_.use_content) {
-      const TfVector& other = vectors_[from_oldest];
+      const TfVector& other =
+          vectors_[vectors_.size() - bin_.size() + from_oldest];
       const uint64_t dot =
           ops.sparse_dot(vector.term_hashes(), vector.term_counts(),
                          vector.size(), other.term_hashes(),
@@ -50,21 +43,24 @@ bool CosineUniBinDiversifier::Offer(const Post& post) {
     }
     return true;
   };
-  const CoverageScanResult scan = ScanCovered(bin_, cutoff, covers);
-  stats_.comparisons += scan.comparisons;
-  stats_.pruned += scan.pruned;
-  if (scan.covered) {
-    stats_.UpdatePeak(ApproxBytes());
-    return false;
+  const BinOfferResult offer = OfferToBins(
+      post, post.time_ms - thresholds_.lambda_t_ms, 1, 1,
+      [&](size_t) -> PostBin& { return bin_; },
+      [&](const PostBin& bin, int64_t cutoff) {
+        return ScanCovered(bin, cutoff, covers);
+      },
+      "CosineUniBin.evict", &stats_);
+  // Drop the evicted entries' vectors, then add the admitted post's.
+  while (vectors_.size() + (offer.admitted ? 1 : 0) > bin_.size()) {
+    vectors_bytes_ -= VectorBytes(vectors_.front());
+    vectors_.pop_front();
   }
-
-  bin_.Push(BinEntry{post.time_ms, /*simhash=*/0, post.author, post.id});
-  vectors_bytes_ += VectorBytes(vector);
-  vectors_.push_back(std::move(vector));
-  ++stats_.insertions;
-  ++stats_.posts_out;
+  if (offer.admitted) {
+    vectors_bytes_ += VectorBytes(vector);
+    vectors_.push_back(std::move(vector));
+  }
   stats_.UpdatePeak(ApproxBytes());
-  return true;
+  return offer.admitted;
 }
 
 size_t CosineUniBinDiversifier::ApproxBytes() const {
@@ -80,32 +76,21 @@ void CosineUniBinDiversifier::SaveState(BinaryWriter* out) const {
 }
 
 bool CosineUniBinDiversifier::LoadState(BinaryReader& in) {
-  bin_ = PostBin{};
-  vectors_.clear();
-  vectors_bytes_ = 0;
-  std::string payload;
-  if (internal::UnwrapChecksummed(in, &payload)) {
-    BinaryReader state(payload);
-    if (LoadStatePayload(state)) return true;
-  }
-  // Malformed snapshot: reset to empty so the object stays usable.
-  stats_ = IngestStats{};
-  bin_ = PostBin{};
-  vectors_.clear();
-  vectors_bytes_ = 0;
-  return false;
-}
-
-bool CosineUniBinDiversifier::LoadStatePayload(BinaryReader& in) {
-  if (!internal::LoadStats(in, &stats_)) return false;
-  if (!bin_.Load(in)) return false;
-  for (size_t i = 0; i < bin_.size(); ++i) {
-    TfVector vector;
-    if (!vector.Load(in)) return false;
-    vectors_bytes_ += VectorBytes(vector);
-    vectors_.push_back(std::move(vector));
-  }
-  return in.AtEnd();
+  auto load = [&](BinaryReader& state) {
+    if (!bin_.Load(state)) return false;
+    for (size_t i = 0; i < bin_.size(); ++i) {
+      TfVector vector;
+      if (!vector.Load(state)) return false;
+      vectors_bytes_ += VectorBytes(vector);
+      vectors_.push_back(std::move(vector));
+    }
+    return true;
+  };
+  return internal::LoadChecksummed(in, &stats_, load, [&] {
+    bin_ = PostBin{};
+    vectors_.clear();
+    vectors_bytes_ = 0;
+  });
 }
 
 BinOccupancy CosineUniBinDiversifier::bin_occupancy() const {

@@ -45,7 +45,6 @@ class CosineUniBinDiversifier final : public Diversifier {
   bool LoadState(BinaryReader& in) override;
 
  private:
-  bool LoadStatePayload(BinaryReader& in);
   static size_t VectorBytes(const TfVector& vector) {
     return sizeof(TfVector) + vector.size() * 12;  // hash + count approx
   }

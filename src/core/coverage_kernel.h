@@ -7,8 +7,10 @@
 
 #include "src/core/kernels/dispatch.h"
 #include "src/core/thresholds.h"
+#include "src/obs/trace.h"
 #include "src/stream/post.h"
 #include "src/stream/post_bin.h"
+#include "src/stream/stats.h"
 
 namespace firehose {
 
@@ -78,8 +80,8 @@ CoverageScanResult ScanCovered(const PostBin& bin, int64_t cutoff_ms,
 /// runtime-dispatched find-newest-within-λc kernel (src/core/kernels/,
 /// DESIGN.md §4k) over the fingerprint lane, touching the author lane
 /// only on a content hit (the paper's cheap-dimension-first pruning).
-/// Semantics match internal::CoversContentAndAuthor applied newest-first
-/// with early exit. `ops` variant taking explicit kernel ops is the seam
+/// Semantics: Definition 1's content and author tests applied
+/// newest-first with early exit. `ops` variant taking explicit kernel ops is the seam
 /// the cross-kernel differential fuzz harness drives; production callers
 /// use the ActiveKernelOps() overload below.
 template <typename AuthorSimilarFn>
@@ -148,6 +150,70 @@ CoverageScanResult ScanCoveredSimHash(const PostBin& bin, int64_t cutoff_ms,
   return ScanCoveredSimHashWithOps(
       kernels::ActiveKernelOps(), bin, cutoff_ms, simhash, author, thresholds,
       std::forward<AuthorSimilarFn>(author_similar));
+}
+
+/// The scan step of UniBin, NeighborBin and CliqueBin for OfferToBins:
+/// a ScanCoveredSimHash of one bin for `post`.
+template <typename AuthorSimilarFn>
+auto SimHashScan(const Post& post, const DiversityThresholds& thresholds,
+                 AuthorSimilarFn author_similar) {
+  return [&post, &thresholds, author_similar](const PostBin& bin,
+                                              int64_t cutoff_ms) {
+    return ScanCoveredSimHash(bin, cutoff_ms, post.simhash, post.author,
+                              thresholds, author_similar);
+  };
+}
+
+/// Outcome of one OfferToBins call.
+struct BinOfferResult {
+  bool admitted = false;    ///< no scanned bin covered the post; it was pushed
+  size_t bins_scanned = 0;  ///< bins evicted and scanned, in route order
+  size_t grown_bytes = 0;   ///< growth of the pushed-to rings' ApproxBytes()
+};
+
+/// The evict→scan→insert step of §4, written once: every bin algorithm
+/// and the flat ComponentSet run it. A post's route is bin_at(0) ..
+/// bin_at(num_insert - 1). The first `num_scan` bins are evicted to
+/// `cutoff_ms` and handed to `scan(bin, cutoff_ms)` in order until one
+/// covers the post; if none does, the post is pushed into every route bin
+/// (those past `num_scan` evicted first). `bin_at` may move earlier bins,
+/// so no bin reference is kept across calls. Counters go to `*stats` (the
+/// caller keeps the peak); an offer that evicted marks `evict_event`.
+template <typename BinAtFn, typename ScanFn>
+BinOfferResult OfferToBins(const Post& post, int64_t cutoff_ms,
+                           size_t num_scan, size_t num_insert,
+                           BinAtFn&& bin_at, ScanFn&& scan,
+                           const char* evict_event, IngestStats* stats) {
+  BinOfferResult result;
+  ++stats->posts_in;
+  size_t evicted = 0;
+  bool covered = false;
+  while (!covered && result.bins_scanned < num_scan) {
+    PostBin& bin = bin_at(result.bins_scanned++);
+    evicted += bin.EvictOlderThan(cutoff_ms);
+    const CoverageScanResult found = scan(std::as_const(bin), cutoff_ms);
+    stats->comparisons += found.comparisons;
+    stats->pruned += found.pruned;
+    covered = found.covered;
+  }
+  if (!covered) {
+    const BinEntry entry{post.time_ms, post.simhash, post.author, post.id};
+    for (size_t i = 0; i < num_insert; ++i) {
+      PostBin& bin = bin_at(i);
+      if (i >= num_scan) evicted += bin.EvictOlderThan(cutoff_ms);
+      const size_t before = bin.ApproxBytes();
+      bin.Push(entry);
+      result.grown_bytes += bin.ApproxBytes() - before;
+    }
+    stats->insertions += num_insert;
+    ++stats->posts_out;
+    result.admitted = true;
+  }
+  if (evicted > 0) {
+    stats->evictions += evicted;
+    obs::GlobalTraceInstant(evict_event, "bin");
+  }
+  return result;
 }
 
 }  // namespace firehose

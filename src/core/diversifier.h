@@ -7,12 +7,11 @@
 
 #include <string>
 
-#include "src/core/thresholds.h"
+#include "src/core/thresholds.h"  // firehose-lint: allow(unused-include)
 #include "src/util/binary.h"
 #include "src/stream/post.h"
 #include "src/stream/post_bin.h"
 #include "src/stream/stats.h"
-#include "src/util/bitops.h"
 #include "src/util/build_info.h"
 #include "src/util/crc32c.h"
 
@@ -89,21 +88,6 @@ inline void WrapChecksummed(const BinaryWriter& payload, BinaryWriter* out) {
   out->PutString(payload.buffer());
 }
 
-/// Peels the envelope; false on version mismatch, checksum mismatch or
-/// truncation. `payload` is untouched on failure.
-inline bool UnwrapChecksummed(BinaryReader& in, std::string* payload) {
-  uint64_t version = 0;
-  uint64_t crc = 0;
-  std::string bytes;
-  if (!in.GetVarint(&version) || version != kStateFormatVersion ||
-      !in.GetVarint(&crc) || !in.GetString(&bytes)) {
-    return false;
-  }
-  if (crc != Crc32c(bytes)) return false;
-  *payload = std::move(bytes);
-  return true;
-}
-
 inline void SaveStats(const IngestStats& stats, BinaryWriter* out) {
   out->PutVarint(stats.posts_in);
   out->PutVarint(stats.posts_out);
@@ -130,31 +114,29 @@ inline bool LoadStats(BinaryReader& in, IngestStats* stats) {
   return ok;
 }
 
-}  // namespace internal
-
-namespace internal {
-
-/// The coverage predicate shared by all bin algorithms, minus the time
-/// dimension (bins are already time-windowed): true when `entry` covers a
-/// new post with fingerprint `simhash` by author `author`.
-///
-/// `author_similar` is evaluated lazily only when content matches, the
-/// cheap-dimension-first pruning the paper describes in its third
-/// challenge.
-template <typename AuthorSimilarFn>
-bool CoversContentAndAuthor(const BinEntry& entry, uint64_t simhash,
-                            AuthorId author,
-                            const DiversityThresholds& thresholds,
-                            AuthorSimilarFn&& author_similar) {
-  if (thresholds.use_content &&
-      HammingDistance64(entry.simhash, simhash) > thresholds.lambda_c) {
-    return false;
+/// The LoadState skeleton: the counters and `reset()` empty the object,
+/// the envelope is peeled (failing on version or checksum mismatch and on
+/// truncation), and the counters plus `load_bins(reader)` must parse the
+/// whole payload. On any failure the object is emptied again, so it stays
+/// usable.
+template <typename LoadFn, typename ResetFn>
+bool LoadChecksummed(BinaryReader& in, IngestStats* stats, LoadFn&& load_bins,
+                     ResetFn&& reset) {
+  *stats = IngestStats{};
+  reset();
+  uint64_t version = 0;
+  uint64_t crc = 0;
+  std::string payload;
+  if (in.GetVarint(&version) && version == kStateFormatVersion &&
+      in.GetVarint(&crc) && in.GetString(&payload) && crc == Crc32c(payload)) {
+    BinaryReader state(payload);
+    if (LoadStats(state, stats) && load_bins(state) && state.AtEnd()) {
+      return true;
+    }
   }
-  if (thresholds.use_author && entry.author != author &&
-      !author_similar(entry.author)) {
-    return false;
-  }
-  return true;
+  *stats = IngestStats{};
+  reset();
+  return false;
 }
 
 }  // namespace internal

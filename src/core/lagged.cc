@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/bitops.h"
+
 namespace firehose {
 
 LaggedDiversifier::LaggedDiversifier(const DiversityThresholds& thresholds,

@@ -18,6 +18,14 @@ std::string EngineName(const char* prefix, Algorithm algorithm) {
 
 /// M_*: independent per-user diversifiers.
 class MUserEngine final : public MultiUserEngine {
+  /// One user's diversifier and the G_i (CliqueBin: and cover) it
+  /// borrows; heap-held so those stay put.
+  struct PerUser {
+    AuthorGraph graph;
+    std::unique_ptr<CliqueCover> cover;
+    std::unique_ptr<Diversifier> diversifier;
+  };
+
  public:
   MUserEngine(Algorithm algorithm, const DiversityThresholds& t,
               const AuthorGraph& graph, const std::vector<User>& users)
@@ -31,10 +39,15 @@ class MUserEngine final : public MultiUserEngine {
     user_ids_.resize(users.size());
     for (size_t u = 0; u < users.size(); ++u) {
       user_ids_[u] = users[u].id;
-      engines_[u] = std::make_unique<OwnedDiversifier>();
-      engines_[u]->Init(algorithm, users[u].custom_thresholds.value_or(t),
-                        graph.InducedSubgraph(users[u].subscriptions));
-      for (AuthorId a : engines_[u]->graph.vertices()) {
+      PerUser& e = *(engines_[u] = std::make_unique<PerUser>());
+      e.graph = graph.InducedSubgraph(users[u].subscriptions);
+      if (algorithm == Algorithm::kCliqueBin) {
+        e.cover = std::make_unique<CliqueCover>(CliqueCover::Greedy(e.graph));
+      }
+      e.diversifier =
+          MakeDiversifier(algorithm, users[u].custom_thresholds.value_or(t),
+                          &e.graph, e.cover.get());
+      for (AuthorId a : e.graph.vertices()) {
         subscribers_[a].push_back(u);
       }
     }
@@ -73,7 +86,10 @@ class MUserEngine final : public MultiUserEngine {
 
   size_t ApproxBytes() const override {
     size_t bytes = 0;
-    for (const auto& e : engines_) bytes += e->ApproxBytes();
+    for (const auto& e : engines_) {
+      bytes += e->diversifier->ApproxBytes() + e->graph.ApproxBytes() +
+               (e->cover != nullptr ? e->cover->ApproxBytes() : 0);
+    }
     for (const auto& subs : subscribers_) {
       bytes += subs.capacity() * sizeof(size_t);
     }
@@ -85,9 +101,9 @@ class MUserEngine final : public MultiUserEngine {
 
  private:
   std::string name_;
-  std::vector<std::unique_ptr<OwnedDiversifier>> engines_;  // per users index
-  std::vector<UserId> user_ids_;                            // per users index
-  std::vector<std::vector<size_t>> subscribers_;            // author -> indices
+  std::vector<std::unique_ptr<PerUser>> engines_;  // per users index
+  std::vector<UserId> user_ids_;                   // per users index
+  std::vector<std::vector<size_t>> subscribers_;   // author -> indices
   // Combined resident bin bytes over all users, maintained by per-offer
   // deltas (ApproxBytes is O(1) per diversifier), and its true peak.
   int64_t live_bin_bytes_ = 0;

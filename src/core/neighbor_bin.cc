@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/core/coverage_kernel.h"
-#include "src/obs/trace.h"
 
 namespace firehose {
 
@@ -11,55 +10,21 @@ NeighborBinDiversifier::NeighborBinDiversifier(
     const DiversityThresholds& thresholds, const AuthorGraph* graph)
     : thresholds_(thresholds), graph_(graph) {}
 
-PostBin& NeighborBinDiversifier::BinOf(AuthorId author) {
-  return bins_[author];
-}
-
 bool NeighborBinDiversifier::Offer(const Post& post) {
-  ++stats_.posts_in;
-  const int64_t cutoff = post.time_ms - thresholds_.lambda_t_ms;
-
-  PostBin& own_bin = BinOf(post.author);
-  size_t evicted = own_bin.EvictOlderThan(cutoff);
-
-  // Every post in bin(author) is from the author or a similar author, so
-  // the author dimension holds by construction; only content is checked.
-  auto author_similar = [](AuthorId) { return true; };
-  const CoverageScanResult scan =
-      ScanCoveredSimHash(own_bin, cutoff, post.simhash, post.author,
-                         thresholds_, author_similar);
-  stats_.comparisons += scan.comparisons;
-  stats_.pruned += scan.pruned;
-  if (scan.covered) {
-    if (evicted > 0) {
-      stats_.evictions += evicted;
-      obs::GlobalTraceInstant("NeighborBin.evict", "bin");
-    }
-    stats_.UpdatePeak(ApproxBytes());
-    return false;
-  }
-
-  // Non-redundant: insert into the author's bin and each neighbor's bin.
-  const BinEntry entry{post.time_ms, post.simhash, post.author, post.id};
-  size_t before = own_bin.ApproxBytes();
-  own_bin.Push(entry);
-  bins_bytes_ += own_bin.ApproxBytes() - before;
-  ++stats_.insertions;
-  for (AuthorId neighbor : graph_->Neighbors(post.author)) {
-    PostBin& bin = BinOf(neighbor);
-    evicted += bin.EvictOlderThan(cutoff);
-    before = bin.ApproxBytes();
-    bin.Push(entry);
-    bins_bytes_ += bin.ApproxBytes() - before;
-    ++stats_.insertions;
-  }
-  if (evicted > 0) {
-    stats_.evictions += evicted;
-    obs::GlobalTraceInstant("NeighborBin.evict", "bin");
-  }
-  ++stats_.posts_out;
+  // Route: bin(author) is scanned; a non-redundant post goes into it and
+  // into each neighbor's bin. Every post in bin(author) is from the
+  // author or a similar author, so only content is checked.
+  const std::vector<AuthorId>& neighbors = graph_->Neighbors(post.author);
+  auto bin_at = [&](size_t i) -> PostBin& {
+    return bins_[i == 0 ? post.author : neighbors[i - 1]];
+  };
+  const BinOfferResult offer = OfferToBins(
+      post, post.time_ms - thresholds_.lambda_t_ms, 1, 1 + neighbors.size(),
+      bin_at, SimHashScan(post, thresholds_, [](AuthorId) { return true; }),
+      "NeighborBin.evict", &stats_);
+  bins_bytes_ += offer.grown_bytes;
   stats_.UpdatePeak(ApproxBytes());
-  return true;
+  return offer.admitted;
 }
 
 BinOccupancy NeighborBinDiversifier::bin_occupancy() const {
@@ -89,32 +54,22 @@ void NeighborBinDiversifier::SaveState(BinaryWriter* out) const {
 }
 
 bool NeighborBinDiversifier::LoadState(BinaryReader& in) {
-  bins_.clear();
-  bins_bytes_ = 0;
-  std::string payload;
-  if (internal::UnwrapChecksummed(in, &payload)) {
-    BinaryReader state(payload);
-    if (LoadStatePayload(state)) return true;
-  }
-  // Malformed snapshot: reset to empty so the object stays usable.
-  stats_ = IngestStats{};
-  bins_.clear();
-  bins_bytes_ = 0;
-  return false;
-}
-
-bool NeighborBinDiversifier::LoadStatePayload(BinaryReader& in) {
-  if (!internal::LoadStats(in, &stats_)) return false;
-  uint64_t count;
-  if (!in.GetVarint(&count)) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t author;
-    if (!in.GetVarint(&author) || author > 0xFFFFFFFFull) return false;
-    PostBin& bin = bins_[static_cast<AuthorId>(author)];
-    if (!bin.Load(in)) return false;
-    bins_bytes_ += bin.ApproxBytes();
-  }
-  return in.AtEnd();
+  auto load = [&](BinaryReader& state) {
+    uint64_t count;
+    if (!state.GetVarint(&count)) return false;
+    for (uint64_t i = 0; i < count; ++i) {
+      uint64_t author;
+      if (!state.GetVarint(&author) || author > 0xFFFFFFFFull) return false;
+      PostBin& bin = bins_[static_cast<AuthorId>(author)];
+      if (!bin.Load(state)) return false;
+      bins_bytes_ += bin.ApproxBytes();
+    }
+    return true;
+  };
+  return internal::LoadChecksummed(in, &stats_, load, [&] {
+    bins_.clear();
+    bins_bytes_ = 0;
+  });
 }
 
 size_t NeighborBinDiversifier::ApproxBytes() const {

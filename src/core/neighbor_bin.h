@@ -32,9 +32,6 @@ class NeighborBinDiversifier final : public Diversifier {
   bool LoadState(BinaryReader& in) override;
 
  private:
-  PostBin& BinOf(AuthorId author);
-  bool LoadStatePayload(BinaryReader& in);
-
   const DiversityThresholds thresholds_;
   const AuthorGraph* graph_;  // not owned
   std::unordered_map<AuthorId, PostBin> bins_;

@@ -1,7 +1,6 @@
 #include "src/core/unibin.h"
 
 #include "src/core/coverage_kernel.h"
-#include "src/obs/trace.h"
 
 namespace firehose {
 
@@ -10,32 +9,20 @@ UniBinDiversifier::UniBinDiversifier(const DiversityThresholds& thresholds,
     : thresholds_(thresholds), graph_(graph) {}
 
 bool UniBinDiversifier::Offer(const Post& post) {
-  ++stats_.posts_in;
-  const size_t evicted =
-      bin_.EvictOlderThan(post.time_ms - thresholds_.lambda_t_ms);
-  if (evicted > 0) {
-    stats_.evictions += evicted;
-    obs::GlobalTraceInstant("UniBin.evict", "bin");
-  }
-
+  // The one bin holds every author's posts, so the author dimension is
+  // checked against the graph.
   auto author_similar = [&](AuthorId other) {
     return graph_ != nullptr && graph_->IsNeighbor(post.author, other);
   };
-  const CoverageScanResult scan = ScanCoveredSimHash(
-      bin_, post.time_ms - thresholds_.lambda_t_ms, post.simhash, post.author,
-      thresholds_, author_similar);
-  stats_.comparisons += scan.comparisons;
-  stats_.pruned += scan.pruned;
-  if (scan.covered) {
-    stats_.UpdatePeak(ApproxBytes());
-    return false;  // covered: redundant
-  }
-
-  bin_.Push(BinEntry{post.time_ms, post.simhash, post.author, post.id});
-  ++stats_.insertions;
-  ++stats_.posts_out;
+  const bool admitted =
+      OfferToBins(
+          post, post.time_ms - thresholds_.lambda_t_ms, 1, 1,
+          [&](size_t) -> PostBin& { return bin_; },
+          SimHashScan(post, thresholds_, author_similar), "UniBin.evict",
+          &stats_)
+          .admitted;
   stats_.UpdatePeak(ApproxBytes());
-  return true;
+  return admitted;
 }
 
 size_t UniBinDiversifier::ApproxBytes() const {
@@ -54,18 +41,9 @@ void UniBinDiversifier::SaveState(BinaryWriter* out) const {
 }
 
 bool UniBinDiversifier::LoadState(BinaryReader& in) {
-  std::string payload;
-  if (internal::UnwrapChecksummed(in, &payload)) {
-    BinaryReader state(payload);
-    if (internal::LoadStats(state, &stats_) && bin_.Load(state) &&
-        state.AtEnd()) {
-      return true;
-    }
-  }
-  // Malformed snapshot: reset to empty so the object stays usable.
-  stats_ = IngestStats{};
-  bin_ = PostBin{};
-  return false;
+  return internal::LoadChecksummed(
+      in, &stats_, [&](BinaryReader& state) { return bin_.Load(state); },
+      [&] { bin_ = PostBin{}; });
 }
 
 }  // namespace firehose

@@ -52,7 +52,6 @@ class PostBin {
     capacity_ = std::exchange(other.capacity_, 0);
     head_ = std::exchange(other.head_, 0);
     size_ = std::exchange(other.size_, 0);
-    pushes_ = std::exchange(other.pushes_, 0);
     return *this;
   }
 
@@ -101,11 +100,6 @@ class PostBin {
   /// oldest) of the λt boundary, found by binary search over the
   /// time-ordered ring. Scans can skip this prefix without touching it.
   size_t CountOlderThan(int64_t cutoff_ms) const;
-
-  /// Monotone count of entries ever pushed (never decremented by
-  /// eviction). The oldest live entry has sequence `pushes() - size()`,
-  /// the newest `pushes() - 1`. Reset by Load to the restored size.
-  uint64_t pushes() const { return pushes_; }
 
   /// Bytes of the backing ring (capacity, not size — what the process
   /// actually holds resident).
@@ -159,7 +153,6 @@ class PostBin {
   size_t capacity_ = 0;  // slots per lane (0 or a power of two)
   size_t head_ = 0;      // index of the oldest entry
   size_t size_ = 0;
-  uint64_t pushes_ = 0;
 };
 
 }  // namespace firehose

@@ -2,11 +2,14 @@
 // components of ComputeSharedComponents split round-robin into k sets,
 // each deciding the whole stream on its own, must deliver exactly what
 // the sequential S_* engine delivers and do exactly its work. A serve
-// shard is one such set.
+// shard is one such set. The S_* engine is itself a set, so the set is
+// also checked against code that is not the set: one standalone
+// diversifier per shared component.
 
 #include "src/core/component_set.h"
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -129,6 +132,77 @@ TEST(ShardedTest, CustomThresholdsPreserved) {
   auto engine = MakeSUserEngine(Algorithm::kUniBin, t, w.graph, w.users);
   std::vector<ComponentSet> sets = Partition(Algorithm::kUniBin, t, w, 3);
   EXPECT_EQ(DecideAll(sets, w.stream), SequentialDeliveries(*engine, w.stream));
+}
+
+/// The oracle: every shared component decided by its own MakeDiversifier
+/// over its own induced subgraph (CliqueBin: its own greedy cover), the
+/// admitted posts delivered to the component's owners.
+Deliveries StandaloneDeliveries(Algorithm algorithm,
+                                const DiversityThresholds& t,
+                                const Workbench& w, IngestStats* total) {
+  const std::vector<SharedComponent> components =
+      ComputeSharedComponents(t, w.graph, w.users);
+  std::vector<AuthorGraph> graphs;
+  graphs.reserve(components.size());  // the diversifiers point into it
+  std::vector<std::unique_ptr<Diversifier>> diversifiers;
+  for (const SharedComponent& c : components) {
+    graphs.push_back(w.graph.InducedSubgraph(c.authors));
+    diversifiers.push_back(
+        MakeDiversifier(algorithm, c.thresholds, &graphs.back()));
+  }
+  Deliveries deliveries;
+  for (const Post& post : w.stream) {
+    for (size_t i = 0; i < components.size(); ++i) {
+      const std::vector<AuthorId>& authors = components[i].authors;
+      if (!std::binary_search(authors.begin(), authors.end(), post.author)) {
+        continue;
+      }
+      if (diversifiers[i]->Offer(post)) {
+        for (UserId user : components[i].users) {
+          deliveries.emplace_back(post.id, user);
+        }
+      }
+    }
+  }
+  for (const auto& d : diversifiers) total->MergeFrom(d->stats());
+  std::sort(deliveries.begin(), deliveries.end());
+  return deliveries;
+}
+
+TEST(ComponentSetOracleTest, MatchesOneStandaloneDiversifierPerComponent) {
+  Workbench w = MakeWorkbench(97, 16, 9, 700);
+  DiversityThresholds loose;
+  loose.lambda_c = -1;  // user 0 gets everything
+  w.users[0].custom_thresholds = loose;
+  DiversityThresholds narrow;
+  narrow.lambda_c = 10;
+  narrow.lambda_t_ms = 150;
+  w.users[1].custom_thresholds = narrow;
+  DiversityThresholds t;
+  t.lambda_c = 5;
+  t.lambda_t_ms = 400;
+
+  for (Algorithm algorithm : kAllAlgorithms) {
+    IngestStats expected;
+    const Deliveries oracle = StandaloneDeliveries(algorithm, t, w, &expected);
+    ASSERT_FALSE(oracle.empty());
+    std::vector<ComponentSet> sets = Partition(algorithm, t, w, 1);
+    EXPECT_EQ(DecideAll(sets, w.stream), oracle) << AlgorithmName(algorithm);
+
+    const IngestStats got = sets[0].AggregateStats();
+    EXPECT_EQ(got.posts_in, expected.posts_in) << AlgorithmName(algorithm);
+    EXPECT_EQ(got.posts_out, expected.posts_out) << AlgorithmName(algorithm);
+    EXPECT_EQ(got.comparisons, expected.comparisons)
+        << AlgorithmName(algorithm);
+    EXPECT_EQ(got.pruned, expected.pruned) << AlgorithmName(algorithm);
+    EXPECT_EQ(got.evictions, expected.evictions) << AlgorithmName(algorithm);
+    EXPECT_EQ(got.insertions, expected.insertions)
+        << AlgorithmName(algorithm);
+    // Both sides share OfferToBins, so its contract is checked outright:
+    // the stream outlives λt, and every bin evicts before it scans.
+    EXPECT_GT(got.evictions, 0u) << AlgorithmName(algorithm);
+    EXPECT_EQ(got.pruned, 0u) << AlgorithmName(algorithm);
+  }
 }
 
 TEST(ShardedTest, EmptyStreamAndUsers) {

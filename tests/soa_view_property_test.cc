@@ -4,7 +4,9 @@
 // equal FromOldest iteration entry for entry, CountOlderThan must agree
 // with a linear scan, and Save/Load must preserve the view.
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -73,25 +75,34 @@ TEST(SoaViewPropertyTest, RandomPushEvictInterleavings) {
   Rng rng(20260806);
   for (int round = 0; round < 40; ++round) {
     PostBin bin;
+    std::deque<BinEntry> model;  // the ring's live entries, oldest first
     int64_t now = 0;
     uint64_t next_id = 0;
-    uint64_t pushes_before = bin.pushes();
     for (int op = 0; op < 300; ++op) {
       if (rng.Bernoulli(0.7)) {
         now += static_cast<int64_t>(rng.UniformInt(50));
-        bin.Push(BinEntry{now, rng.Next(),
-                          static_cast<AuthorId>(rng.UniformInt(32)),
-                          static_cast<PostId>(next_id++)});
-        EXPECT_EQ(bin.pushes(), ++pushes_before);
+        const BinEntry entry{now, rng.Next(),
+                             static_cast<AuthorId>(rng.UniformInt(32)),
+                             static_cast<PostId>(next_id++)};
+        bin.Push(entry);
+        model.push_back(entry);
+        ASSERT_EQ(bin.size(), model.size());
+        EXPECT_TRUE(SameEntry(bin.FromNewest(0), entry));
       } else {
         // Evict a random fraction of the window — sometimes nothing,
         // sometimes everything — to walk the head across the ring.
         const int64_t cutoff = now - static_cast<int64_t>(rng.UniformInt(400));
-        const size_t before = bin.size();
         const size_t expected = bin.CountOlderThan(cutoff);
         EXPECT_EQ(bin.EvictOlderThan(cutoff), expected);
-        EXPECT_EQ(bin.size(), before - expected);
-        EXPECT_EQ(bin.pushes(), pushes_before);  // eviction never decrements
+        ASSERT_LE(expected, model.size());
+        model.erase(model.begin(),
+                    model.begin() + static_cast<std::ptrdiff_t>(expected));
+        ASSERT_EQ(bin.size(), model.size());
+      }
+      // Eviction drops exactly the oldest entries: what survives is the
+      // pushed sequence's suffix, in push order.
+      for (size_t i = 0; i < model.size(); ++i) {
+        EXPECT_TRUE(SameEntry(bin.FromOldest(i), model[i])) << "i=" << i;
       }
       if (op % 17 == 0) CheckViewInvariants(bin);
     }
@@ -161,9 +172,15 @@ TEST(SoaViewPropertyTest, SaveLoadPreservesViewAndCapacity) {
     for (size_t i = 0; i < original.size(); ++i) {
       EXPECT_TRUE(SameEntry(loaded[i], original[i])) << "i=" << i;
     }
-    // Load resets the push sequence to the live size: external index
-    // accelerators keyed by sequence are invalidated wholesale.
-    EXPECT_EQ(restored.pushes(), restored.size());
+    CheckViewInvariants(restored);
+    // A restored ring keeps growing after its newest entry.
+    const BinEntry next{now + 1, rng.Next(), 3, 9999};
+    restored.Push(next);
+    ASSERT_EQ(restored.size(), bin.size() + 1);
+    EXPECT_TRUE(SameEntry(restored.FromNewest(0), next));
+    if (!original.empty()) {
+      EXPECT_TRUE(SameEntry(restored.FromOldest(0), original.front()));
+    }
     CheckViewInvariants(restored);
   }
 }
@@ -187,7 +204,8 @@ TEST(SoaViewPropertyTest, MoveTransfersTheRingAndEmptiesTheSource) {
   PostBin moved(std::move(bin));
   ASSERT_EQ(moved.size(), 5u);
   EXPECT_EQ(moved.ApproxBytes(), 8 * kBinEntryLaneBytes);
-  EXPECT_EQ(moved.pushes(), 5u);
+  EXPECT_EQ(moved.FromOldest(0).post_id, 0u);
+  EXPECT_EQ(moved.FromNewest(0).post_id, 4u);
   const std::vector<BinEntry> after = FlattenSegments(moved);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_TRUE(SameEntry(after[i], before[i])) << "i=" << i;
@@ -195,7 +213,7 @@ TEST(SoaViewPropertyTest, MoveTransfersTheRingAndEmptiesTheSource) {
   // NOLINTNEXTLINE(bugprone-use-after-move): tests the moved-from state
   EXPECT_TRUE(bin.empty());
   EXPECT_EQ(bin.ApproxBytes(), 0u);
-  EXPECT_EQ(bin.pushes(), 0u);
+  EXPECT_EQ(bin.size(), 0u);
   bin.Push(BinEntry{9, 9, 0, 9});
   EXPECT_EQ(bin.FromNewest(0).post_id, 9u);
   CheckViewInvariants(bin);
