@@ -7,11 +7,13 @@
 // one.
 //
 // Exact keys (byte-stable, compared by tools/bench_compare.py): posts,
-// component offers, comparisons, bins scanned, insertions, deliveries,
-// and live entries per scanned bin (comparisons / bins scanned, x1000).
-// Timing keys (informational): decide.post_ns, decide.offer_ns and
-// decide.build_ms (set construction), each the median over kRepeats
-// fresh sets.
+// components, the greedy cover's size (decide.bins: Σ cliques, one bin
+// each; decide.route_bins: Σ clique memberships), component offers,
+// comparisons, bins scanned, insertions, deliveries, and live entries
+// per scanned bin (comparisons / bins scanned, x1000). Timing keys
+// (informational), each the median over kRepeats: decide.post_ns,
+// decide.offer_ns, decide.build_ms (set construction, graph index
+// included) and decide.discover_ms (ComputeSharedComponents).
 
 #include <algorithm>
 #include <chrono>
@@ -71,6 +73,8 @@ struct DecideRun {
   double build_ns = 0;
   double decide_ns = 0;
   IngestStats stats;
+  uint64_t bins = 0;
+  uint64_t route_bins = 0;
   uint64_t bins_scanned = 0;
   uint64_t deliveries = 0;
 };
@@ -85,8 +89,11 @@ DecideRun RunOnce(const Population& p,
                   std::vector<SharedComponent> components) {
   DecideRun run;
   auto start = std::chrono::steady_clock::now();
-  ComponentSet set(Algorithm::kCliqueBin, p.graph, std::move(components));
+  ComponentSet set(Algorithm::kCliqueBin, p.graph, IndexedGraph(p.graph),
+                   std::move(components));
   run.build_ns = NanosSince(start);
+  run.bins = set.num_bins();
+  run.route_bins = set.num_route_bins();
   const size_t burst = net::ServeOptions::ingest_batch_max;
   const std::span<const Post> posts(p.stream);
   std::vector<MultiUserEngine::BatchDelivery> deliveries;
@@ -110,14 +117,27 @@ void Run() {
   DiversityThresholds t;
   t.lambda_c = 18;
   t.lambda_t_ms = int64_t{30} * 60 * 1000;
-  const std::vector<SharedComponent> components =
-      ComputeSharedComponents(t, p.graph, p.users);
+  std::vector<SharedComponent> components;
+  std::vector<double> discover_ns;
+  for (int i = 0; i < kRepeats; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<SharedComponent> found =
+        ComputeSharedComponents(t, p.graph, p.users);
+    discover_ns.push_back(NanosSince(start));
+    if (i == 0) {
+      components = std::move(found);
+    } else if (found.size() != components.size()) {
+      std::fprintf(stderr, "serve_decide: discovery %d differs\n", i);
+      std::exit(1);
+    }
+  }
 
   std::vector<DecideRun> runs;
   for (int i = 0; i < kRepeats; ++i) {
     runs.push_back(RunOnce(p, components));
     const DecideRun& r = runs.back();
-    if (r.stats.comparisons != runs[0].stats.comparisons ||
+    if (r.bins != runs[0].bins || r.route_bins != runs[0].route_bins ||
+        r.stats.comparisons != runs[0].stats.comparisons ||
         r.bins_scanned != runs[0].bins_scanned ||
         r.deliveries != runs[0].deliveries) {
       std::fprintf(stderr, "serve_decide: repeat %d did different work\n", i);
@@ -132,8 +152,10 @@ void Run() {
   }
   std::sort(decide_ns.begin(), decide_ns.end());
   std::sort(build_ns.begin(), build_ns.end());
+  std::sort(discover_ns.begin(), discover_ns.end());
   const double median_ns = decide_ns[decide_ns.size() / 2];
   const double median_build_ns = build_ns[build_ns.size() / 2];
+  const double median_discover_ns = discover_ns[discover_ns.size() / 2];
 
   const DecideRun& r = runs[0];
   const uint64_t posts = p.stream.size();
@@ -141,6 +163,8 @@ void Run() {
   obs::MetricsRegistry& m = BenchMetrics();
   m.GetCounter("decide.posts")->Add(posts);
   m.GetCounter("decide.components")->Add(components.size());
+  m.GetCounter("decide.bins")->Add(r.bins);
+  m.GetCounter("decide.route_bins")->Add(r.route_bins);
   m.GetCounter("decide.offers")->Add(offers);
   m.GetCounter("decide.comparisons")->Add(r.stats.comparisons);
   m.GetCounter("decide.bins_scanned")->Add(r.bins_scanned);
@@ -153,6 +177,8 @@ void Run() {
                                        r.bins_scanned));
   m.GetGauge("decide.build_ms")
       ->Set(static_cast<int64_t>(median_build_ns / 1e6));
+  m.GetGauge("decide.discover_ms")
+      ->Set(static_cast<int64_t>(median_discover_ns / 1e6));
   m.GetGauge("decide.post_ns")
       ->Set(static_cast<int64_t>(median_ns / static_cast<double>(posts)));
   m.GetGauge("decide.offer_ns")
@@ -174,8 +200,11 @@ void Run() {
   for (double ns : decide_ns) {
     std::printf(" %.2f", ns / static_cast<double>(posts) / 1e3);
   }
-  std::printf(" us/post)\nbuild: %.1f ms (median of %d)\n",
-              median_build_ns / 1e6, kRepeats);
+  std::printf(" us/post)\nbuild: %.1f ms, discovery: %.1f ms (medians of "
+              "%d); bins %llu, route bins %llu\n",
+              median_build_ns / 1e6, median_discover_ns / 1e6, kRepeats,
+              static_cast<unsigned long long>(r.bins),
+              static_cast<unsigned long long>(r.route_bins));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "src/author/clique_cover.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_set>
 
 namespace firehose {
@@ -12,69 +13,132 @@ uint64_t EdgeKey(AuthorId a, AuthorId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
 }
 
-// Intersects sorted `candidates` with the sorted neighbor list of `v`.
-std::vector<AuthorId> IntersectSorted(const std::vector<AuthorId>& candidates,
-                                      const std::vector<AuthorId>& neighbors) {
-  std::vector<AuthorId> out;
-  std::set_intersection(candidates.begin(), candidates.end(),
-                        neighbors.begin(), neighbors.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
-CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
-  CliqueCover cover;
-  cover.num_authors_ = graph.num_vertices();
-  std::unordered_set<uint64_t> covered;
-  covered.reserve(static_cast<size_t>(graph.num_edges()) * 2);
+void CliqueCover::GreedyCliques(const CsrGraph& graph, LocalCliques* out) {
+  out->offsets.assign(1, 0);
+  out->members.clear();
+  const uint32_t n = graph.num_vertices();
+  const std::vector<uint32_t>& adj = graph.neighbors;
+  // covered[s]: the edge in adjacency slot s lies in a saved clique. Both
+  // slots of an edge are set together.
+  std::vector<uint8_t> covered(adj.size(), 0);
+  // A candidate is adjacent to every member so far; its gain counts the
+  // members it shares no saved clique with. Coverage is frozen while a
+  // clique grows, so a gain only ever rises, by one member at a time.
+  struct Candidate {
+    uint32_t v;
+    uint32_t gain;
+  };
+  std::vector<Candidate> candidates;
 
-  for (AuthorId u : graph.vertices()) {
-    for (AuthorId v : graph.Neighbors(u)) {
-      if (v < u) continue;  // visit each edge once, from its lower endpoint
-      if (covered.count(EdgeKey(u, v)) > 0) continue;
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t su = graph.offsets[u]; su < graph.offsets[u + 1]; ++su) {
+      const uint32_t v = adj[su];
+      if (v < u || covered[su] != 0) continue;  // each edge from below
 
-      // Seed the clique with the uncovered edge {u, v} and grow it.
-      std::vector<AuthorId> clique = {u, v};
-      std::vector<AuthorId> candidates =
-          IntersectSorted(graph.Neighbors(u), graph.Neighbors(v));
+      // Seed with the uncovered edge {u, v}; the candidates are
+      // N(u) ∩ N(v), by one merge of the two rows.
+      const size_t begin = out->members.size();
+      out->members.push_back(u);
+      out->members.push_back(v);
+      candidates.clear();
+      for (uint32_t i = graph.offsets[u], ie = graph.offsets[u + 1],
+                    j = graph.offsets[v], je = graph.offsets[v + 1];
+           i < ie && j < je;) {
+        if (adj[i] < adj[j]) {
+          ++i;
+        } else if (adj[j] < adj[i]) {
+          ++j;
+        } else {
+          candidates.push_back(
+              {adj[i], uint32_t{covered[i] == 0} + uint32_t{covered[j] == 0}});
+          ++i;
+          ++j;
+        }
+      }
       while (!candidates.empty()) {
-        // Pick the candidate contributing the most still-uncovered edges
-        // into the clique; ties break to the smallest id for determinism.
-        AuthorId best = candidates.front();
-        int best_gain = -1;
-        for (AuthorId cand : candidates) {
-          int gain = 0;
-          for (AuthorId member : clique) {
-            if (covered.count(EdgeKey(cand, member)) == 0) ++gain;
-          }
-          if (gain > best_gain) {
-            best_gain = gain;
-            best = cand;
+        size_t pick = 0;
+        for (size_t k = 1; k < candidates.size(); ++k) {
+          if (candidates[k].gain > candidates[pick].gain) pick = k;
+        }
+        const uint32_t best = candidates[pick].v;
+        out->members.push_back(best);
+        // Keep the candidates adjacent to `best` (it is not adjacent to
+        // itself, so it drops out), adding best's share of each gain.
+        size_t kept = 0;
+        for (uint32_t k = 0, j = graph.offsets[best],
+                      je = graph.offsets[best + 1];
+             k < candidates.size() && j < je;) {
+          if (candidates[k].v < adj[j]) {
+            ++k;
+          } else if (adj[j] < candidates[k].v) {
+            ++j;
+          } else {
+            candidates[kept++] = {candidates[k].v,
+                                  candidates[k].gain +
+                                      uint32_t{covered[j] == 0}};
+            ++k;
+            ++j;
           }
         }
-        clique.push_back(best);
-        candidates = IntersectSorted(candidates, graph.Neighbors(best));
-        candidates.erase(
-            std::remove(candidates.begin(), candidates.end(), best),
-            candidates.end());
+        candidates.resize(kept);
       }
-      std::sort(clique.begin(), clique.end());
-      for (size_t i = 0; i < clique.size(); ++i) {
-        for (size_t j = i + 1; j < clique.size(); ++j) {
-          covered.insert(EdgeKey(clique[i], clique[j]));
+
+      // Save the clique and cover its edges: one sorted merge of each
+      // member's row with the clique.
+      const auto first =
+          out->members.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::sort(first, out->members.end());
+      const auto last = out->members.end();
+      for (auto m = first; m != last; ++m) {
+        auto c = first;
+        for (uint32_t j = graph.offsets[*m], je = graph.offsets[*m + 1];
+             c != last && j < je;) {
+          if (*c < adj[j]) {
+            ++c;
+          } else if (adj[j] < *c) {
+            ++j;
+          } else {
+            covered[j] = 1;
+            ++c;
+            ++j;
+          }
         }
       }
-      cover.cliques_.push_back(std::move(clique));
+      out->offsets.push_back(static_cast<uint32_t>(out->members.size()));
     }
   }
 
   // Singleton cliques for vertices covered by no clique (exactly the
   // isolated ones: every edge is covered), so same-author posts of
   // isolated authors can still cover each other.
-  for (AuthorId a : graph.vertices()) {
-    if (graph.Neighbors(a).empty()) cover.cliques_.push_back({a});
+  for (uint32_t u = 0; u < n; ++u) {
+    if (graph.offsets[u] == graph.offsets[u + 1]) {
+      out->members.push_back(u);
+      out->offsets.push_back(static_cast<uint32_t>(out->members.size()));
+    }
+  }
+}
+
+CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
+  const IndexedGraph indexed(graph);
+  LocalCliques local;
+  GreedyCliques(indexed.csr(), &local);
+  CliqueCover cover;
+  cover.num_authors_ = graph.num_vertices();
+  cover.cliques_.resize(local.size());
+  const std::vector<AuthorId>& ids = graph.vertices();
+  for (size_t k = 0; k < local.size(); ++k) {
+    std::vector<AuthorId>& clique = cover.cliques_[k];
+    // Grown as the heuristic grows a clique, from a one-member singleton
+    // or a two-member seed, so capacity() (which ApproxBytes counts)
+    // depends only on the size.
+    const uint32_t* m = local.members.data() + local.offsets[k];
+    const uint32_t size = local.offsets[k + 1] - local.offsets[k];
+    clique = size == 1 ? std::vector<AuthorId>{ids[m[0]]}
+                       : std::vector<AuthorId>{ids[m[0]], ids[m[1]]};
+    for (uint32_t i = 2; i < size; ++i) clique.push_back(ids[m[i]]);
   }
   cover.IndexAuthors(graph.vertices());
   return cover;

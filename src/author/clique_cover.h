@@ -12,6 +12,15 @@ namespace firehose {
 /// Identifier of a clique within a CliqueCover.
 using CliqueId = uint32_t;
 
+/// Cliques over local vertex indices, flat: clique k is
+/// members[offsets[k] .. offsets[k + 1]), ascending.
+struct LocalCliques {
+  std::vector<uint32_t> offsets = {0};
+  std::vector<uint32_t> members;
+
+  size_t size() const { return offsets.size() - 1; }
+};
+
 /// A clique edge cover of an author similarity graph plus the flat
 /// Author2Cliques map (paper §4.3). Every edge of the graph lies in at
 /// least one clique; every vertex lies in at least one clique (isolated
@@ -24,7 +33,17 @@ class CliqueCover {
   /// covering the most still-uncovered edges), save it, repeat until all
   /// edges are covered; finally add singleton cliques for vertices in no
   /// clique. The exact minimum-total-size cover is NP-hard.
+  /// This is GreedyCliques over the graph's vertex-index CSR.
   static CliqueCover Greedy(const AuthorGraph& graph);
+
+  /// The greedy heuristic itself, over a CSR graph, writing the cliques
+  /// to `*out` in the order Greedy saves them: seeds are visited by
+  /// ascending lower endpoint, then upper; a clique grows by the
+  /// candidate with the largest gain, ties to the smallest index; the
+  /// singletons of isolated vertices come last. Memory is O(V + E): a
+  /// covered flag per adjacency slot and each candidate's gain, carried
+  /// from one added member to the next.
+  static void GreedyCliques(const CsrGraph& graph, LocalCliques* out);
 
   /// Reassembles a cover from explicit cliques (persistence, tests,
   /// dynamic maintenance). `num_authors` is the vertex count of the

@@ -174,6 +174,72 @@ bool AuthorGraph::RemoveVertex(AuthorId a) {
   return true;
 }
 
+IndexedGraph::IndexedGraph(const AuthorGraph& graph)
+    : vertices_(graph.vertices()) {
+  csr_.offsets.reserve(vertices_.size() + 1);
+  csr_.neighbors.reserve(static_cast<size_t>(graph.num_edges()) * 2);
+  for (AuthorId a : vertices_) {
+    for (AuthorId b : graph.Neighbors(a)) csr_.neighbors.push_back(IndexOf(b));
+    csr_.offsets.push_back(static_cast<uint32_t>(csr_.neighbors.size()));
+  }
+}
+
+uint32_t IndexedGraph::IndexOf(AuthorId a) const {
+  if (vertices_.empty()) return kNoVertex;
+  // A lower_bound whose one comparison per step selects the next base
+  // (a conditional move) instead of taking a mispredicted branch; every
+  // induce looks up each of its members.
+  const AuthorId* base = vertices_.data();
+  for (size_t n = vertices_.size(); n > 1;) {
+    const size_t half = n / 2;
+    base = base[half] < a ? base + half : base;
+    n -= half;
+  }
+  base += *base < a ? 1 : 0;
+  if (base == vertices_.data() + vertices_.size() || *base != a) {
+    return kNoVertex;
+  }
+  return static_cast<uint32_t>(base - vertices_.data());
+}
+
+SubgraphInducer::SubgraphInducer(const IndexedGraph& graph)
+    : graph_(graph), local_(graph.vertices().size(), 0) {}
+
+void SubgraphInducer::Induce(std::span<const AuthorId> subset, CsrGraph* out) {
+  members_.clear();
+  for (size_t i = 0; i < subset.size(); ++i) {
+    const uint32_t v = graph_.IndexOf(subset[i]);
+    members_.push_back(v);
+    if (v != IndexedGraph::kNoVertex) local_[v] = static_cast<uint32_t>(i) + 1;
+  }
+  // Rows come out ascending: a row of the whole graph is ascending in
+  // vertex index, and local indices follow vertex indices. Every slot
+  // walked is written and kept only if marked, without a branch: most
+  // of a member's neighbors lie outside a small subset.
+  const CsrGraph& whole = graph_.csr();
+  size_t walked = 0;
+  for (uint32_t v : members_) {
+    if (v != IndexedGraph::kNoVertex) walked += whole.Row(v).size();
+  }
+  out->offsets.assign(1, 0);
+  out->neighbors.resize(walked);
+  uint32_t* kept = out->neighbors.data();
+  uint32_t count = 0;
+  for (uint32_t v : members_) {
+    if (v != IndexedGraph::kNoVertex) {
+      for (uint32_t w : whole.Row(v)) {
+        kept[count] = local_[w] - 1;
+        count += local_[w] != 0 ? 1 : 0;
+      }
+    }
+    out->offsets.push_back(count);
+  }
+  out->neighbors.resize(count);
+  for (uint32_t v : members_) {
+    if (v != IndexedGraph::kNoVertex) local_[v] = 0;
+  }
+}
+
 size_t AuthorGraph::ApproxBytes() const {
   size_t bytes = vertices_.capacity() * sizeof(AuthorId);
   for (const auto& adj : adjacency_) {

@@ -2,6 +2,7 @@
 #define FIREHOSE_AUTHOR_SIMILARITY_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/author/follow_graph.h"
@@ -89,6 +90,63 @@ class AuthorGraph {
   std::vector<std::vector<AuthorId>> adjacency_;  // parallel to vertices_
   uint64_t num_edges_ = 0;
   static const std::vector<AuthorId> kEmpty;
+};
+
+/// An undirected graph over vertex indices 0..num_vertices()-1 in
+/// compressed sparse rows: the neighbors of `v` are
+/// neighbors[offsets[v] .. offsets[v + 1]), ascending, and each edge is
+/// stored in both of its rows.
+struct CsrGraph {
+  std::vector<uint32_t> offsets = {0};
+  std::vector<uint32_t> neighbors;
+
+  uint32_t num_vertices() const {
+    return static_cast<uint32_t>(offsets.size() - 1);
+  }
+  std::span<const uint32_t> Row(uint32_t v) const {
+    return std::span<const uint32_t>(neighbors)
+        .subspan(offsets[v], offsets[v + 1] - offsets[v]);
+  }
+};
+
+/// An AuthorGraph in its own vertex-index space: vertex i is
+/// vertices()[i]. Immutable once built, so threads may share one.
+class IndexedGraph {
+ public:
+  static constexpr uint32_t kNoVertex = UINT32_MAX;
+
+  explicit IndexedGraph(const AuthorGraph& graph);
+
+  const std::vector<AuthorId>& vertices() const { return vertices_; }
+  const CsrGraph& csr() const { return csr_; }
+
+  /// Vertex index of `a`, or kNoVertex when `a` is not a vertex.
+  uint32_t IndexOf(AuthorId a) const;
+
+ private:
+  std::vector<AuthorId> vertices_;  // sorted
+  CsrGraph csr_;
+};
+
+/// Induces subgraphs of one IndexedGraph. The marker that makes an induce
+/// linear is keyed by vertex index (never by AuthorId, which may be
+/// sparse up to UINT32_MAX) and reused across calls, so an inducer
+/// belongs to one thread; the graph it reads may be shared.
+class SubgraphInducer {
+ public:
+  /// `graph` must outlive the inducer.
+  explicit SubgraphInducer(const IndexedGraph& graph);
+
+  /// Writes the subgraph induced by `subset` (sorted, unique) to `*out`:
+  /// local vertex i is subset[i], and members absent from the graph are
+  /// isolated, as in AuthorGraph::InducedSubgraph. Costs a binary search
+  /// per member plus the members' degrees in the whole graph.
+  void Induce(std::span<const AuthorId> subset, CsrGraph* out);
+
+ private:
+  const IndexedGraph& graph_;
+  std::vector<uint32_t> local_;    // vertex -> local index + 1; 0 = not in
+  std::vector<uint32_t> members_;  // local index -> vertex (or kNoVertex)
 };
 
 }  // namespace firehose

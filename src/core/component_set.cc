@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,6 +11,7 @@
 namespace firehose {
 
 ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
+                           const IndexedGraph& index,
                            std::vector<SharedComponent> components)
     : algorithm_(algorithm),
       evict_event_(std::string(AlgorithmName(algorithm)) + ".evict") {
@@ -22,9 +22,17 @@ ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
   std::vector<uint32_t> bin_ids;
   std::vector<AuthorId> set_authors;
   uint32_t num_bins = 0;
+  SubgraphInducer inducer(index);
+  CsrGraph subgraph;  // local vertex i is the component's authors[i]
+  // CliqueBin: the greedy cover of `subgraph`; local vertex i lies in
+  // cliques clique_ids[clique_offsets[i] .. clique_offsets[i + 1]).
+  LocalCliques cliques;
+  std::vector<uint32_t> clique_offsets;
+  std::vector<uint32_t> clique_ids;
+  std::vector<uint32_t> clique_fill;
   components_.reserve(components.size());
   for (const SharedComponent& shared : components) {
-    const auto index = static_cast<uint32_t>(components_.size());
+    const auto component = static_cast<uint32_t>(components_.size());
     const auto t = static_cast<uint32_t>(
         std::find(thresholds_.begin(), thresholds_.end(), shared.thresholds) -
         thresholds_.begin());
@@ -35,45 +43,57 @@ ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
         Component{t, owners_begin, static_cast<uint32_t>(owners_.size())});
 
     const std::vector<AuthorId>& authors = shared.authors;
-    const AuthorGraph subgraph = graph.InducedSubgraph(authors);
-    std::optional<CliqueCover> cover;
+    const auto n = static_cast<uint32_t>(authors.size());
+    if (algorithm != Algorithm::kUniBin) inducer.Induce(authors, &subgraph);
     if (algorithm == Algorithm::kCliqueBin) {
-      cover = CliqueCover::Greedy(subgraph);
+      // Author2Cliques by counting sort; visiting cliques in order keeps
+      // each author's clique ids ascending.
+      CliqueCover::GreedyCliques(subgraph, &cliques);
+      clique_offsets.assign(n + 1, 0);
+      for (uint32_t m : cliques.members) ++clique_offsets[m + 1];
+      std::partial_sum(clique_offsets.begin(), clique_offsets.end(),
+                       clique_offsets.begin());
+      clique_ids.resize(cliques.members.size());
+      clique_fill.assign(clique_offsets.begin(), clique_offsets.end() - 1);
+      for (uint32_t k = 0; k < cliques.size(); ++k) {
+        for (uint32_t j = cliques.offsets[k]; j < cliques.offsets[k + 1]; ++j) {
+          clique_ids[clique_fill[cliques.members[j]]++] = k;
+        }
+      }
     }
-    for (size_t i = 0; i < authors.size(); ++i) {
+    for (uint32_t i = 0; i < n; ++i) {
       const auto begin = static_cast<uint32_t>(bin_ids.size());
       switch (algorithm) {
         case Algorithm::kUniBin:  // the component's one bin
           bin_ids.push_back(num_bins);
           break;
         case Algorithm::kNeighborBin:  // bin(a), then each neighbor's bin
-          bin_ids.push_back(num_bins + static_cast<uint32_t>(i));
-          for (AuthorId n : subgraph.Neighbors(authors[i])) {
-            bin_ids.push_back(num_bins +
-                              static_cast<uint32_t>(
-                                  std::lower_bound(authors.begin(),
-                                                   authors.end(), n) -
-                                  authors.begin()));
-          }
+          bin_ids.push_back(num_bins + i);
+          for (uint32_t j : subgraph.Row(i)) bin_ids.push_back(num_bins + j);
           break;
         case Algorithm::kCliqueBin:  // the bins of the author's cliques
-          for (CliqueId clique : cover->CliquesOf(authors[i])) {
-            bin_ids.push_back(num_bins + clique);
+          for (uint32_t j = clique_offsets[i]; j < clique_offsets[i + 1]; ++j) {
+            bin_ids.push_back(num_bins + clique_ids[j]);
           }
           break;
       }
       const auto end = static_cast<uint32_t>(bin_ids.size());
       const uint32_t scan_end =
           algorithm == Algorithm::kCliqueBin ? end : begin + 1;
-      routes.emplace_back(authors[i], Route{index, begin, scan_end, end});
+      routes.emplace_back(authors[i], Route{component, begin, scan_end, end});
     }
-    if (algorithm == Algorithm::kUniBin) {
-      set_authors.insert(set_authors.end(), authors.begin(), authors.end());
+    switch (algorithm) {
+      case Algorithm::kUniBin:
+        set_authors.insert(set_authors.end(), authors.begin(), authors.end());
+        num_bins += 1;
+        break;
+      case Algorithm::kNeighborBin:
+        num_bins += n;
+        break;
+      case Algorithm::kCliqueBin:
+        num_bins += static_cast<uint32_t>(cliques.size());
+        break;
     }
-    num_bins += static_cast<uint32_t>(
-        algorithm == Algorithm::kUniBin ? 1
-        : cover.has_value()             ? cover->num_cliques()
-                                        : authors.size());
   }
   if (algorithm == Algorithm::kUniBin) {
     author_graph_ = graph.InducedSubgraph(set_authors);

@@ -22,8 +22,12 @@ namespace firehose {
 /// the sequential engine's.
 class ComponentSet {
  public:
-  /// `graph` is read during construction only.
+  /// `graph` and `index` (built from `graph`) are read during
+  /// construction only. Each component is induced from `index` and, for
+  /// CliqueBin, covered by CliqueCover::GreedyCliques; both are linear
+  /// in the component's adjacency and allocate nothing per vertex.
   ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
+               const IndexedGraph& index,
                std::vector<SharedComponent> components);
 
   /// Offers a time-ordered burst, post-major: each post goes to every
@@ -44,6 +48,12 @@ class ComponentSet {
   size_t ApproxBytes() const;
 
   size_t size() const { return components_.size(); }
+
+  /// Bins in the set (CliqueBin: Σ cliques over the components).
+  size_t num_bins() const { return bins_.size(); }
+
+  /// Bin ids over every route (CliqueBin: Σ clique memberships).
+  size_t num_route_bins() const { return route_bins_.size(); }
 
   /// Bins evicted and scanned so far, over every component offer.
   uint64_t bins_scanned() const { return bins_scanned_; }

@@ -132,8 +132,14 @@ class SUserEngine final : public MultiUserEngine {
  public:
   SUserEngine(Algorithm algorithm, const DiversityThresholds& t,
               const AuthorGraph& graph, const std::vector<User>& users)
+      : SUserEngine(algorithm, t, graph, IndexedGraph(graph), users) {}
+
+  SUserEngine(Algorithm algorithm, const DiversityThresholds& t,
+              const AuthorGraph& graph, const IndexedGraph& index,
+              const std::vector<User>& users)
       : name_(EngineName("S_", algorithm)),
-        set_(algorithm, graph, ComputeSharedComponents(t, graph, users)) {}
+        set_(algorithm, graph, index,
+             ComputeSharedComponents(t, index, users)) {}
 
   void Offer(const Post& post, std::vector<UserId>* delivered) override {
     set_.OfferBatch(std::span<const Post>(&post, 1), &scratch_);
@@ -162,20 +168,57 @@ class SUserEngine final : public MultiUserEngine {
 std::vector<SharedComponent> ComputeSharedComponents(
     const DiversityThresholds& t, const AuthorGraph& graph,
     const std::vector<User>& users) {
+  return ComputeSharedComponents(t, IndexedGraph(graph), users);
+}
+
+std::vector<SharedComponent> ComputeSharedComponents(
+    const DiversityThresholds& t, const IndexedGraph& graph,
+    const std::vector<User>& users) {
   // Key every connected component of every user's G_i by its exact
   // author set AND the user's effective thresholds; identical keys share
   // one component (a customized user gets private components).
   std::vector<SharedComponent> components;
   std::unordered_map<uint64_t, std::vector<size_t>> by_key;
   constexpr size_t kNotFound = static_cast<size_t>(-1);
+  SubgraphInducer inducer(graph);
+  std::vector<AuthorId> subscriptions;
+  CsrGraph gi;
+  std::vector<uint8_t> seen;
+  std::vector<uint32_t> stack;
+  std::vector<AuthorId> component;
   for (const User& user : users) {
     const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
-    AuthorGraph gi = graph.InducedSubgraph(user.subscriptions);
-    for (std::vector<AuthorId>& component : gi.ConnectedComponents()) {
-      const uint64_t key =
-          HashCombine(AuthorSetKey(component), ThresholdsKey(user_t));
+    const uint64_t thresholds_key = ThresholdsKey(user_t);
+    subscriptions = user.subscriptions;
+    std::sort(subscriptions.begin(), subscriptions.end());
+    subscriptions.erase(
+        std::unique(subscriptions.begin(), subscriptions.end()),
+        subscriptions.end());
+    inducer.Induce(subscriptions, &gi);
+    // Components in order of their smallest author, each sorted.
+    seen.assign(subscriptions.size(), 0);
+    for (uint32_t root = 0; root < subscriptions.size(); ++root) {
+      if (seen[root] != 0) continue;
+      component.clear();
+      stack.assign(1, root);
+      seen[root] = 1;
+      while (!stack.empty()) {
+        const uint32_t v = stack.back();
+        stack.pop_back();
+        component.push_back(subscriptions[v]);
+        for (uint32_t w : gi.Row(v)) {
+          if (seen[w] == 0) {
+            seen[w] = 1;
+            stack.push_back(w);
+          }
+        }
+      }
+      std::sort(component.begin(), component.end());
+
+      std::vector<size_t>& same_key =
+          by_key[HashCombine(AuthorSetKey(component), thresholds_key)];
       size_t index = kNotFound;
-      for (size_t cand : by_key[key]) {
+      for (size_t cand : same_key) {
         if (components[cand].authors == component &&
             components[cand].thresholds == user_t) {
           index = cand;
@@ -184,9 +227,8 @@ std::vector<SharedComponent> ComputeSharedComponents(
       }
       if (index == kNotFound) {
         index = components.size();
-        by_key[key].push_back(index);
-        components.push_back(
-            SharedComponent{std::move(component), {}, user_t});
+        same_key.push_back(index);
+        components.push_back(SharedComponent{component, {}, user_t});
       }
       components[index].users.push_back(user.id);
     }

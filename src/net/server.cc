@@ -4,7 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <span>
 
 #include "src/core/kernels/dispatch.h"
@@ -75,71 +77,34 @@ struct ShardCmd {
 /// exclusively owns the components placed on this shard (one
 /// ComponentSet, the same component runtime as the in-process S_*
 /// engine), the timelines of every user (populated only for posts this
-/// shard admits) and the shard's WAL.
+/// shard admits) and the shard's WAL. It builds all of that itself, so
+/// the first touch of the shard's memory happens on the thread that
+/// decides.
 class ShardWorker {
  public:
-  ShardWorker(uint32_t index, const ServeOptions& options, ComponentSet set,
-              uint64_t num_users)
-      : index_(index),
-        options_(options),
-        set_(std::move(set)),
-        timelines_(static_cast<size_t>(num_users)),
-        queue_(kShardQueueCapacity) {}
+  ShardWorker(uint32_t index, const ServeOptions& options)
+      : index_(index), options_(options), queue_(kShardQueueCapacity) {}
 
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Build phase (single-threaded, before Spawn) -----------------------
-
-  /// Replays this shard's WAL through Ingest (rebuilding diversifier +
-  /// timeline state and the dedupe watermark) and opens the writer at
-  /// the resume seq. Without a data_dir this only marks the shard ready.
-  [[nodiscard]] bool RecoverDurability(std::string* error) {
-    if (options_.data_dir.empty()) return true;
-    sync_ = dur::MakeSyncPolicy(options_.wal_sync);
-    if (sync_ == nullptr) {
-      *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
-      return false;
-    }
-    dur::WalOptions wal_options;
-    wal_options.dir = ShardWalDir(options_.data_dir, index_);
-    wal_options.ops = options_.file_ops;
-    wal_options.sync = sync_.get();
-    const dur::WalReadResult read =
-        dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
-    if (!read.ok) {
-      *error = "shard " + std::to_string(index_) + " WAL: " + read.error;
-      return false;
-    }
-    std::vector<Post> run;
-    for (const dur::WalRecord& record : read.records) {
-      Post& post = run.emplace_back();
-      if (!dur::DecodePostRecord(record.payload, &post)) {
-        // An intact frame that fails the post codec is cross-build
-        // state, not a torn tail — refuse to guess.
-        *error = "shard " + std::to_string(index_) +
-                 " WAL record " + std::to_string(record.seq) +
-                 " does not decode as a post";
-        return false;
-      }
-      if (run.size() == ServeOptions::ingest_batch_max) {
-        Ingest(run);
-        run.clear();
-      }
-    }
-    Ingest(run);
-    wal_ = std::make_unique<dur::WalWriter>(wal_options);
-    if (!wal_->Open(read.next_seq)) {
-      *error = "shard " + std::to_string(index_) + ": cannot open WAL in " +
-               wal_options.dir;
-      return false;
-    }
-    return true;
+  /// Starts the worker thread. It builds the shard's set from
+  /// `components` (reading `graph` and `index`), sizes the timelines,
+  /// replays the WAL, arrives at `built`, then serves its queue. Once it
+  /// has arrived it no longer reads `graph`, `index` or `built`, and
+  /// build_error() is final.
+  void Spawn(const AuthorGraph& graph, const IndexedGraph& index,
+             std::vector<SharedComponent> components, uint64_t num_users,
+             Barrier* built) {
+    thread_ = std::thread([this, graph = &graph, index = &index,
+                           components = std::move(components), num_users,
+                           built]() mutable {
+      Run(*graph, *index, std::move(components), num_users, built);
+    });
   }
 
-  void Spawn() {
-    thread_ = std::thread([this] { Loop(); });
-  }
+  /// Why the build failed; empty when it succeeded.
+  const std::string& build_error() const { return build_error_; }
 
   /// Dispatcher-side handle (single producer) --------------------------
 
@@ -185,12 +150,77 @@ class ShardWorker {
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
+  void Run(const AuthorGraph& graph, const IndexedGraph& index,
+           std::vector<SharedComponent> components, uint64_t num_users,
+           Barrier* built) FIREHOSE_RUNS_ON(shard_worker) {
+    // An allocation failure becomes the shard's build error instead of
+    // ending the process from a worker thread.
+    try {
+      set_.emplace(options_.algorithm, graph, index, std::move(components));
+      timelines_.resize(static_cast<size_t>(num_users));
+      (void)RecoverDurability(&build_error_);  // sets it on failure
+    } catch (const std::exception& e) {
+      build_error_ = "shard " + std::to_string(index_) + " build: " + e.what();
+    }
+    {
+      std::lock_guard<std::mutex> lock(built->mu);
+      if (--built->pending == 0) built->cv.notify_all();
+    }
+    Loop();
+  }
+
+  /// Replays this shard's WAL through Ingest (rebuilding diversifier +
+  /// timeline state and the dedupe watermark) and opens the writer at
+  /// the resume seq. Without a data_dir this only marks the shard ready.
+  [[nodiscard]] bool RecoverDurability(std::string* error)
+      FIREHOSE_RUNS_ON(shard_worker) {
+    if (options_.data_dir.empty()) return true;
+    sync_ = dur::MakeSyncPolicy(options_.wal_sync);
+    if (sync_ == nullptr) {
+      *error = "unrecognized --wal_sync spec: " + options_.wal_sync;
+      return false;
+    }
+    dur::WalOptions wal_options;
+    wal_options.dir = ShardWalDir(options_.data_dir, index_);
+    wal_options.ops = options_.file_ops;
+    wal_options.sync = sync_.get();
+    const dur::WalReadResult read =
+        dur::ReadWal(wal_options, /*start_seq=*/0, /*truncate_tail=*/true);
+    if (!read.ok) {
+      *error = "shard " + std::to_string(index_) + " WAL: " + read.error;
+      return false;
+    }
+    std::vector<Post> run;
+    for (const dur::WalRecord& record : read.records) {
+      Post& post = run.emplace_back();
+      if (!dur::DecodePostRecord(record.payload, &post)) {
+        // An intact frame that fails the post codec is cross-build
+        // state, not a torn tail — refuse to guess.
+        *error = "shard " + std::to_string(index_) +
+                 " WAL record " + std::to_string(record.seq) +
+                 " does not decode as a post";
+        return false;
+      }
+      if (run.size() == ServeOptions::ingest_batch_max) {
+        Ingest(run);
+        run.clear();
+      }
+    }
+    Ingest(run);
+    wal_ = std::make_unique<dur::WalWriter>(wal_options);
+    if (!wal_->Open(read.next_seq)) {
+      *error = "shard " + std::to_string(index_) + ": cannot open WAL in " +
+               wal_options.dir;
+      return false;
+    }
+    return true;
+  }
+
   /// The one ingest path: WAL-append the run (when durable; every post is
   /// appended before any is decided), decide it post-major through the
   /// set, push each delivery onto its user's timeline, then advance the
-  /// watermark and counters once. Runs on the worker thread in steady
-  /// state and on the recovery thread during replay (before the worker
-  /// exists).
+  /// watermark and counters once. Runs on the worker thread, for WAL
+  /// replay and for live posts alike.
   void Ingest(std::span<const Post> posts) {
     if (posts.empty()) return;
     if (wal_ != nullptr) {
@@ -204,7 +234,7 @@ class ShardWorker {
     const obs::Clock* clock =
         options_.flight != nullptr ? obs::RealClock() : nullptr;
     const uint64_t start = clock != nullptr ? clock->NowNanos() : 0;
-    set_.OfferBatch(posts, &batch_deliveries_);
+    set_->OfferBatch(posts, &batch_deliveries_);
     if (clock != nullptr) {
       options_.flight->RecordComplete(index_, "decide", "serve", start,
                                       clock->NowNanos());
@@ -336,10 +366,10 @@ class ShardWorker {
   const uint32_t index_;
   const ServeOptions& options_;
 
-  // Worker-confined state: built single-threaded before Spawn (the
-  // exclusive phase), then owned by the worker thread until Join. The
-  // thread-confinement pass enforces this statically.
-  ComponentSet set_ FIREHOSE_THREAD_OWNED(shard_worker);
+  // Worker-confined state: built by the worker thread itself, and owned
+  // by it until Join. The thread-confinement pass enforces this
+  // statically.
+  std::optional<ComponentSet> set_ FIREHOSE_THREAD_OWNED(shard_worker);
   std::vector<MultiUserEngine::BatchDelivery> batch_deliveries_
       FIREHOSE_THREAD_OWNED(shard_worker);
   std::vector<std::vector<PostId>> timelines_
@@ -349,6 +379,9 @@ class ShardWorker {
   std::unique_ptr<dur::WalWriter> wal_ FIREHOSE_THREAD_OWNED(shard_worker);
   /// Highest post id ingested (WAL'd + offered); -1 = none yet.
   int64_t watermark_ FIREHOSE_THREAD_OWNED(shard_worker) = -1;
+  /// Written by the worker before it arrives at the build barrier, read
+  /// by BuildShards after the barrier releases.
+  std::string build_error_;
 
   SpscQueue<ShardCmd> queue_ FIREHOSE_PRODUCER_ONLY(dispatcher)
       FIREHOSE_CONSUMER_ONLY(shard_worker);
@@ -447,6 +480,7 @@ bool Server::Start(std::string* error) {
   OwnedFd listener = ListenLoopback(options_.port, /*backlog=*/8, &port_);
   if (!listener.valid()) {
     *error = "cannot bind 127.0.0.1:" + std::to_string(options_.port);
+    StopShards();  // recovered workers are already running
     return false;
   }
   listen_fd_ = listener.Release();
@@ -462,6 +496,18 @@ void Server::Stop() {
   stop_.store(true, std::memory_order_release);
   if (dispatcher_.joinable()) dispatcher_.join();
   // The dispatcher is joined, so this thread is now the single producer.
+  StopShards();
+  if (control_wal_ != nullptr) {
+    (void)control_wal_->Close();  // read-back recovery tolerates torn tails
+  }
+  if (listen_fd_ >= 0) {
+    OwnedFd(listen_fd_).Reset();
+    listen_fd_ = -1;
+  }
+  started_ = false;
+}
+
+void Server::StopShards() {
   internal::ShardCmd stop_cmd;
   stop_cmd.kind = internal::ShardCmd::Kind::kStop;
   for (auto& shard : shards_) shard->PushBlocking(stop_cmd);
@@ -471,14 +517,6 @@ void Server::Stop() {
     // segment and truncates any torn tail.
     (void)shard->CloseWal();
   }
-  if (control_wal_ != nullptr) {
-    (void)control_wal_->Close();  // read-back recovery tolerates torn tails
-  }
-  if (listen_fd_ >= 0) {
-    OwnedFd(listen_fd_).Reset();
-    listen_fd_ = -1;
-  }
-  started_ = false;
 }
 
 ServeStats Server::stats() const {
@@ -516,13 +554,15 @@ bool Server::BuildShards(std::string* error) {
   }
 
   // Place each component on a shard; every shard then owns one
-  // ComponentSet built from exactly its components.
+  // ComponentSet built from exactly its components. One index of the
+  // graph serves discovery and every shard's build.
+  const IndexedGraph index(*graph_);
   const PlacementRing ring(options_.num_shards,
                            ServeOptions::vnodes_per_shard);
   AuthorId max_author = 0;
   std::vector<std::vector<SharedComponent>> placed(options_.num_shards);
   for (SharedComponent& component :
-       ComputeSharedComponents(options_.thresholds, *graph_, users)) {
+       ComputeSharedComponents(options_.thresholds, index, users)) {
     const uint32_t shard = ring.ShardFor(ComponentKey(component.authors));
     for (AuthorId a : component.authors) max_author = std::max(max_author, a);
     placed[shard].push_back(std::move(component));
@@ -539,17 +579,24 @@ bool Server::BuildShards(std::string* error) {
     }
   }
 
+  // Every shard builds its set and replays its WAL on its own worker
+  // thread; nothing is served until all of them are done.
   shards_.clear();
+  internal::Barrier built(options_.num_shards);
   for (uint32_t s = 0; s < placed.size(); ++s) {
-    shards_.push_back(std::make_unique<internal::ShardWorker>(
-        s, options_,
-        ComponentSet(options_.algorithm, *graph_, std::move(placed[s])),
-        num_users_));
+    shards_.push_back(std::make_unique<internal::ShardWorker>(s, options_));
+    shards_.back()->Spawn(*graph_, index, std::move(placed[s]), num_users_,
+                          &built);
   }
-  for (auto& shard : shards_) {
-    if (!shard->RecoverDurability(error)) return false;
+  built.Wait();
+  for (const auto& shard : shards_) {
+    if (!shard->build_error().empty()) {
+      *error = shard->build_error();  // the lowest-numbered failure
+      StopShards();
+      shards_.clear();
+      return false;
+    }
   }
-  for (auto& shard : shards_) shard->Spawn();
   return true;
 }
 

@@ -139,9 +139,16 @@ class Server {
   void HandleConnection(int fd);
   /// True when the message keeps the connection alive.
   [[nodiscard]] bool HandleMessage(int fd, const NetMessage& message);
-  // Runs on the dispatcher thread at seal time, but before any worker
-  // exists — a single-threaded phase, hence the `exclusive` role.
+  // Runs on the dispatcher thread at seal time (or in Start, before the
+  // dispatcher exists). It discovers and places the components, then
+  // waits while every shard worker builds its own set and replays its
+  // own WAL; nothing else touches the server meanwhile, hence the
+  // `exclusive` role. On failure it stops the workers and reports the
+  // lowest-numbered failing shard's error.
   [[nodiscard]] bool BuildShards(std::string* error) FIREHOSE_RUNS_ON(exclusive);
+  /// Stops, joins and closes every shard worker. The caller must be the
+  /// single producer of their queues.
+  void StopShards();
   void RouteToShards(const NetMessage& message);
   void PublishIntrospection();
   [[nodiscard]] bool AppendControlRecord(const std::string& payload,

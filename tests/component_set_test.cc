@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -56,10 +57,11 @@ std::vector<ComponentSet> Partition(Algorithm algorithm,
   for (SharedComponent& shared : ComputeSharedComponents(t, w.graph, w.users)) {
     owned[next++ % k].push_back(std::move(shared));
   }
+  const IndexedGraph index(w.graph);
   std::vector<ComponentSet> sets;
   sets.reserve(k);
   for (std::vector<SharedComponent>& part : owned) {
-    sets.emplace_back(algorithm, w.graph, std::move(part));
+    sets.emplace_back(algorithm, w.graph, index, std::move(part));
   }
   return sets;
 }
@@ -233,6 +235,110 @@ TEST(ShardedTest, ComputeSharedComponentsShape) {
   EXPECT_EQ(components[0].users, (std::vector<UserId>{0, 1}));
   EXPECT_EQ(components[1].authors, (std::vector<AuthorId>{0}));
   EXPECT_EQ(components[1].users, (std::vector<UserId>{2}));
+}
+
+/// The oracle for ComputeSharedComponents: each user's G_i through
+/// AuthorGraph::InducedSubgraph and ConnectedComponents, and a linear
+/// search for an equal (author set, thresholds) component.
+std::vector<SharedComponent> ReferenceSharedComponents(
+    const DiversityThresholds& t, const AuthorGraph& graph,
+    const std::vector<User>& users) {
+  std::vector<SharedComponent> components;
+  for (const User& user : users) {
+    const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
+    const AuthorGraph gi = graph.InducedSubgraph(user.subscriptions);
+    for (std::vector<AuthorId>& authors : gi.ConnectedComponents()) {
+      size_t index = 0;
+      while (index < components.size() &&
+             !(components[index].authors == authors &&
+               components[index].thresholds == user_t)) {
+        ++index;
+      }
+      if (index == components.size()) {
+        components.push_back(SharedComponent{std::move(authors), {}, user_t});
+      }
+      components[index].users.push_back(user.id);
+    }
+  }
+  for (SharedComponent& c : components) {
+    std::sort(c.users.begin(), c.users.end());
+    c.users.erase(std::unique(c.users.begin(), c.users.end()), c.users.end());
+  }
+  return components;
+}
+
+TEST(SharedComponentsTest, MatchesInducedSubgraphReference) {
+  // Graph vertices are sparse ids (with one at UINT32_MAX); users
+  // subscribe, unsorted and with repeats, to graph authors and to ids the
+  // graph lacks. Every third user sets custom thresholds: half of them
+  // equal to the defaults (and so shared with default users), half not.
+  DiversityThresholds t;
+  t.lambda_c = 6;
+  DiversityThresholds custom = t;
+  custom.lambda_c = 9;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int n = 1 + static_cast<int>(rng.UniformInt(30));
+    std::vector<AuthorId> ids = {UINT32_MAX};
+    while (ids.size() < static_cast<size_t>(n)) {
+      const AuthorId id = static_cast<AuthorId>(rng.UniformInt(1u << 20)) * 4096;
+      if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+    }
+    std::vector<std::pair<AuthorId, AuthorId>> edges;
+    const double p = 0.05 + 0.1 * static_cast<double>(seed % 5);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (size_t j = i + 1; j < ids.size(); ++j) {
+        if (rng.Bernoulli(p)) edges.emplace_back(ids[i], ids[j]);
+      }
+    }
+    const AuthorGraph graph = AuthorGraph::FromEdges(ids, edges);
+    std::vector<User> users;
+    for (UserId u = 0; u < 25; ++u) {
+      std::vector<AuthorId> subs;
+      const uint64_t count = rng.UniformInt(12);
+      for (uint64_t k = 0; k < count; ++k) {
+        subs.push_back(rng.Bernoulli(0.8)
+                           ? ids[rng.UniformInt(ids.size())]
+                           : static_cast<AuthorId>(rng.UniformInt(1000)) * 4096 + 1);
+      }
+      std::optional<DiversityThresholds> user_t;
+      if (u % 3 == 2) user_t = (u % 2 == 0) ? t : custom;
+      users.emplace_back(u, std::move(subs), user_t);
+    }
+
+    const std::vector<SharedComponent> got =
+        ComputeSharedComponents(t, graph, users);
+    const std::vector<SharedComponent> want =
+        ReferenceSharedComponents(t, graph, users);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got[c].authors, want[c].authors) << "seed " << seed;
+      EXPECT_EQ(got[c].users, want[c].users) << "seed " << seed;
+      EXPECT_TRUE(got[c].thresholds == want[c].thresholds) << "seed " << seed;
+    }
+  }
+}
+
+TEST(SharedComponentsTest, InducerMatchesInducedSubgraph) {
+  Rng rng(7);
+  const AuthorGraph graph = testing_util::RandomAuthorGraph(30, 0.2, rng);
+  const IndexedGraph index(graph);
+  SubgraphInducer inducer(index);
+  CsrGraph local;
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<AuthorId> subset;
+    for (AuthorId a = 0; a < 34; ++a) {  // 30..33 are absent from the graph
+      if (rng.Bernoulli(0.4)) subset.push_back(a);
+    }
+    inducer.Induce(subset, &local);
+    const AuthorGraph want = graph.InducedSubgraph(subset);
+    ASSERT_EQ(local.num_vertices(), subset.size());
+    for (uint32_t i = 0; i < local.num_vertices(); ++i) {
+      std::vector<AuthorId> row;
+      for (uint32_t j : local.Row(i)) row.push_back(subset[j]);
+      EXPECT_EQ(row, want.Neighbors(subset[i])) << "trial " << trial;
+    }
+  }
 }
 
 }  // namespace

@@ -386,6 +386,69 @@ std::string AwaitHttpStatus(const obs::DebugServer& server,
   return body;
 }
 
+TEST_F(NetServeTest, ParallelRecoveryReportsTheLowestFailingShard) {
+  {
+    Server server(Options(3, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+    client.Disconnect();
+    server.Stop();
+  }
+  // Shards 0 and 2 each get an intact WAL record that is not a post:
+  // recovery refuses it. The shards recover on their own threads, in
+  // whatever order they finish; Start must name shard 0 every time.
+  for (uint32_t shard : {0u, 2u}) {
+    dur::WalOptions wal_options;
+    wal_options.dir = data_dir_ + "/shard-" + std::to_string(shard);
+    dur::WalWriter writer(wal_options);
+    ASSERT_TRUE(writer.Open(0));
+    ASSERT_TRUE(writer.Append("not a post record"));
+    ASSERT_TRUE(writer.Close());
+  }
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    Server server(Options(3, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_FALSE(server.Start(&error)) << "attempt " << attempt;
+    EXPECT_EQ(error.rfind("shard 0 ", 0), 0u)
+        << "attempt " << attempt << ": " << error;
+    EXPECT_NE(error.find("does not decode as a post"), std::string::npos)
+        << error;
+  }
+}
+
+TEST_F(NetServeTest, RecoveredServerThatCannotBindStopsItsShards) {
+  {
+    Server server(Options(2, data_dir_), &workload_.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+    client.Disconnect();
+    server.Stop();
+  }
+  // A sealed data_dir makes Start build and start every shard worker
+  // before it binds; when the bind then fails, Start must stop them, or
+  // destroying the server tears down running, unjoined workers (a hang
+  // in the parked worker's condition variable, or std::terminate).
+  Server holder(Options(1), &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(holder.Start(&error)) << error;
+  ServeOptions options = Options(2, data_dir_);
+  options.port = holder.port();
+  {
+    Server server(options, &workload_.graph);
+    EXPECT_FALSE(server.Start(&error));
+    EXPECT_NE(error.find("cannot bind"), std::string::npos) << error;
+  }
+  holder.Stop();
+}
+
 TEST_F(NetServeTest, FailingShardWalSyncIsCountedAndStillServesExactly) {
   // Two ways to lose the shard WAL: every fsync fails (detected at the
   // Flush), or an append inside the first ingest run is torn (K lands in

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +29,8 @@
 #include "src/core/engine.h"
 #include "src/core/multi_user.h"
 #include "src/eval/experiment.h"
+#include "src/net/client.h"
+#include "src/net/server.h"
 #include "src/runtime/live_ingest.h"
 #include "src/runtime/pipeline.h"
 #include "src/runtime/spsc_queue.h"
@@ -362,9 +365,11 @@ Workbench MakeWorkbench(uint64_t seed, int num_authors, int num_users,
 std::vector<std::pair<PostId, UserId>> RunComponentShards(
     Algorithm algorithm, const DiversityThresholds& t, const Workbench& w,
     size_t num_shards) {
+  // One index serves discovery and every shard's build, as in a seal.
+  const IndexedGraph index(w.graph);
   std::vector<std::vector<SharedComponent>> owned(num_shards);
   size_t next = 0;
-  for (SharedComponent& shared : ComputeSharedComponents(t, w.graph, w.users)) {
+  for (SharedComponent& shared : ComputeSharedComponents(t, index, w.users)) {
     owned[next++ % num_shards].push_back(std::move(shared));
   }
   std::vector<std::vector<std::pair<PostId, UserId>>> shard_deliveries(
@@ -372,9 +377,10 @@ std::vector<std::pair<PostId, UserId>> RunComponentShards(
   std::vector<std::thread> workers;
   workers.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back([algorithm, &w, &owned, &shard_deliveries, s] {
+    workers.emplace_back([algorithm, &w, &index, &owned, &shard_deliveries,
+                          s] {
       // Built on the thread that decides with it, as a serve shard is.
-      ComponentSet set(algorithm, w.graph, std::move(owned[s]));
+      ComponentSet set(algorithm, w.graph, index, std::move(owned[s]));
       std::vector<MultiUserEngine::BatchDelivery> batch;
       set.OfferBatch(std::span<const Post>(w.stream), &batch);
       for (const MultiUserEngine::BatchDelivery& d : batch) {
@@ -440,6 +446,57 @@ TEST(RaceStressSharded, ConcurrentIndependentRunsDoNotInterfere) {
   for (std::thread& runner : runners) runner.join();
   for (size_t r = 0; r < results.size(); ++r) {
     EXPECT_EQ(results[r], expected) << "runner " << r;
+  }
+}
+
+// --- Serve shard builds -----------------------------------------------------
+
+/// Starts, seals and stops a 4-shard server over and over. Each seal
+/// builds every shard's set on that shard's worker thread from one
+/// shared graph index while BuildShards waits at the build barrier, so
+/// TSan sees the build threads, the shared reads and the hand-off to the
+/// dispatcher. Every incarnation must then serve the sequential engine's
+/// timelines exactly.
+TEST(RaceStressServe, RepeatedSealsBuildShardsOnTheirWorkers) {
+  const Workbench w = MakeWorkbench(61, 16, 10, 200);
+  DiversityThresholds t;
+  t.lambda_c = 4;
+  t.lambda_t_ms = 400;
+  const auto engine = MakeSUserEngine(Algorithm::kCliqueBin, t, w.graph,
+                                      w.users);
+  std::vector<std::pair<PostId, UserId>> deliveries;
+  (void)RunMultiUser(*engine, w.stream, &deliveries);
+  std::vector<std::vector<PostId>> expected(w.users.size());
+  for (const auto& [post, user] : deliveries) expected[user].push_back(post);
+
+  for (int round = 0; round < 12; ++round) {
+    net::ServeOptions options;
+    options.num_shards = 4;
+    options.algorithm = Algorithm::kCliqueBin;
+    options.thresholds = t;
+    net::Server server(options, &w.graph);
+    std::string error;
+    ASSERT_TRUE(server.Start(&error)) << error;
+    net::ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    for (const User& user : w.users) {
+      for (AuthorId author : user.subscriptions) {
+        ASSERT_TRUE(client.Follow(user.id, author)) << client.last_error();
+      }
+    }
+    ASSERT_TRUE(client.Seal(w.users.size())) << client.last_error();
+    for (const Post& post : w.stream) {
+      ASSERT_TRUE(client.SendPost(post)) << client.last_error();
+    }
+    ASSERT_TRUE(client.Flush()) << client.last_error();
+    for (const User& user : w.users) {
+      std::vector<PostId> served;
+      ASSERT_TRUE(client.Poll(user.id, 0, &served)) << client.last_error();
+      EXPECT_EQ(served, expected[user.id])
+          << "round " << round << " user " << user.id;
+    }
+    client.Disconnect();
+    server.Stop();
   }
 }
 
