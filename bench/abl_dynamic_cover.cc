@@ -53,8 +53,9 @@ void Run() {
     for (const auto& [u, v] : additions) maintainer.AddEdge(u, v);
     const double repair_ms = timer.ElapsedMillis();
 
+    const AuthorGraph drifted = maintainer.graph();
     timer.Restart();
-    const CliqueCover scratch = CliqueCover::Greedy(maintainer.graph());
+    const CliqueCover scratch = CliqueCover::Greedy(drifted);
     const double rebuild_ms = timer.ElapsedMillis();
 
     const CliqueCover incremental = maintainer.Snapshot();

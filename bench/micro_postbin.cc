@@ -134,8 +134,7 @@ void BM_SCliqueBinManyComponents(benchmark::State& state) {
   std::vector<SharedComponent> components =
       ComputeSharedComponents(t, graph, users);
   const size_t num_components = components.size();
-  ComponentSet set(Algorithm::kCliqueBin, graph, IndexedGraph(graph),
-                   std::move(components));
+  ComponentSet set(Algorithm::kCliqueBin, graph, std::move(components));
 
   int64_t now = 0;
   auto next_post = [&] {

@@ -12,8 +12,8 @@
 // comparisons, bins scanned, insertions, deliveries, and live entries
 // per scanned bin (comparisons / bins scanned, x1000). Timing keys
 // (informational), each the median over kRepeats: decide.post_ns,
-// decide.offer_ns, decide.build_ms (set construction, graph index
-// included) and decide.discover_ms (ComputeSharedComponents).
+// decide.offer_ns, decide.build_ms (set construction) and
+// decide.discover_ms (ComputeSharedComponents).
 
 #include <algorithm>
 #include <chrono>
@@ -89,8 +89,7 @@ DecideRun RunOnce(const Population& p,
                   std::vector<SharedComponent> components) {
   DecideRun run;
   auto start = std::chrono::steady_clock::now();
-  ComponentSet set(Algorithm::kCliqueBin, p.graph, IndexedGraph(p.graph),
-                   std::move(components));
+  ComponentSet set(Algorithm::kCliqueBin, p.graph, std::move(components));
   run.build_ns = NanosSince(start);
   run.bins = set.num_bins();
   run.route_bins = set.num_route_bins();

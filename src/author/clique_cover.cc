@@ -122,23 +122,18 @@ void CliqueCover::GreedyCliques(const CsrGraph& graph, LocalCliques* out) {
 }
 
 CliqueCover CliqueCover::Greedy(const AuthorGraph& graph) {
-  const IndexedGraph indexed(graph);
   LocalCliques local;
-  GreedyCliques(indexed.csr(), &local);
+  GreedyCliques(graph.csr(), &local);
   CliqueCover cover;
   cover.num_authors_ = graph.num_vertices();
   cover.cliques_.resize(local.size());
   const std::vector<AuthorId>& ids = graph.vertices();
   for (size_t k = 0; k < local.size(); ++k) {
     std::vector<AuthorId>& clique = cover.cliques_[k];
-    // Grown as the heuristic grows a clique, from a one-member singleton
-    // or a two-member seed, so capacity() (which ApproxBytes counts)
-    // depends only on the size.
-    const uint32_t* m = local.members.data() + local.offsets[k];
-    const uint32_t size = local.offsets[k + 1] - local.offsets[k];
-    clique = size == 1 ? std::vector<AuthorId>{ids[m[0]]}
-                       : std::vector<AuthorId>{ids[m[0]], ids[m[1]]};
-    for (uint32_t i = 2; i < size; ++i) clique.push_back(ids[m[i]]);
+    clique.resize(local.offsets[k + 1] - local.offsets[k]);
+    for (size_t i = 0; i < clique.size(); ++i) {
+      clique[i] = ids[local.members[local.offsets[k] + i]];
+    }
   }
   cover.IndexAuthors(graph.vertices());
   return cover;

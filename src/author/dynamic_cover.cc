@@ -1,25 +1,51 @@
 #include "src/author/dynamic_cover.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace firehose {
 
 const std::vector<DynamicCoverMaintainer::SlotId>
     DynamicCoverMaintainer::kNoCliques;
 
-DynamicCoverMaintainer::DynamicCoverMaintainer(AuthorGraph graph)
-    : graph_(std::move(graph)) {
-  const CliqueCover initial = CliqueCover::Greedy(graph_);
+DynamicCoverMaintainer::DynamicCoverMaintainer(const AuthorGraph& graph) {
+  authors_.reserve(graph.num_vertices());
+  for (AuthorId a : graph.vertices()) {
+    const AuthorGraph::NeighborView neighbors = graph.Neighbors(a);
+    authors_[a].neighbors.assign(neighbors.begin(), neighbors.end());
+  }
+  const CliqueCover initial = CliqueCover::Greedy(graph);
   for (const auto& clique : initial.cliques()) {
     NewClique(clique);
   }
   cliques_created_ = 0;  // the initial build doesn't count as repair work
 }
 
+AuthorGraph DynamicCoverMaintainer::graph() const {
+  std::vector<AuthorId> vertices;
+  std::vector<std::pair<AuthorId, AuthorId>> edges;
+  vertices.reserve(authors_.size());
+  // firehose-lint: allow(unordered-iteration) -- FromEdges sorts both lists
+  for (const auto& [a, author] : authors_) {
+    vertices.push_back(a);
+    for (AuthorId b : author.neighbors) {
+      if (a < b) edges.emplace_back(a, b);
+    }
+  }
+  return AuthorGraph::FromEdges(std::move(vertices), edges);
+}
+
+bool DynamicCoverMaintainer::IsNeighbor(AuthorId a, AuthorId b) const {
+  const auto it = authors_.find(a);
+  return it != authors_.end() &&
+         std::binary_search(it->second.neighbors.begin(),
+                            it->second.neighbors.end(), b);
+}
+
 const std::vector<DynamicCoverMaintainer::SlotId>&
 DynamicCoverMaintainer::CliquesOf(AuthorId a) const {
-  auto it = author_to_cliques_.find(a);
-  return it == author_to_cliques_.end() ? kNoCliques : it->second;
+  auto it = authors_.find(a);
+  return it == authors_.end() ? kNoCliques : it->second.cliques;
 }
 
 bool DynamicCoverMaintainer::SharesClique(AuthorId a, AuthorId b) const {
@@ -37,7 +63,7 @@ void DynamicCoverMaintainer::AddCliqueMember(SlotId slot, AuthorId member) {
   auto& clique = cliques_[slot];
   clique.insert(std::lower_bound(clique.begin(), clique.end(), member),
                 member);
-  author_to_cliques_[member].push_back(slot);
+  authors_[member].cliques.push_back(slot);
 }
 
 DynamicCoverMaintainer::SlotId DynamicCoverMaintainer::NewClique(
@@ -53,7 +79,7 @@ DynamicCoverMaintainer::SlotId DynamicCoverMaintainer::NewClique(
     cliques_.push_back(std::move(members));
   }
   for (AuthorId member : cliques_[slot]) {
-    author_to_cliques_[member].push_back(slot);
+    authors_[member].cliques.push_back(slot);
   }
   ++live_cliques_;
   ++cliques_created_;
@@ -62,7 +88,7 @@ DynamicCoverMaintainer::SlotId DynamicCoverMaintainer::NewClique(
 
 void DynamicCoverMaintainer::DissolveClique(SlotId slot) {
   for (AuthorId member : cliques_[slot]) {
-    auto& list = author_to_cliques_[member];
+    auto& list = authors_[member].cliques;
     list.erase(std::remove(list.begin(), list.end(), slot), list.end());
   }
   cliques_[slot].clear();
@@ -72,7 +98,7 @@ void DynamicCoverMaintainer::DissolveClique(SlotId slot) {
 }
 
 void DynamicCoverMaintainer::EnsureSingleton(AuthorId a) {
-  if (graph_.HasVertex(a) && CliquesOf(a).empty()) {
+  if (HasVertex(a) && CliquesOf(a).empty()) {
     NewClique({a});
   }
 }
@@ -83,8 +109,10 @@ void DynamicCoverMaintainer::CoverEdge(AuthorId a, AuthorId b) {
   // "shares a live clique").
   std::vector<AuthorId> clique = {a, b};
   std::vector<AuthorId> candidates;
-  std::set_intersection(graph_.Neighbors(a).begin(), graph_.Neighbors(a).end(),
-                        graph_.Neighbors(b).begin(), graph_.Neighbors(b).end(),
+  const std::vector<AuthorId>& neighbors_a = NeighborsOf(a);
+  const std::vector<AuthorId>& neighbors_b = NeighborsOf(b);
+  std::set_intersection(neighbors_a.begin(), neighbors_a.end(),
+                        neighbors_b.begin(), neighbors_b.end(),
                         std::back_inserter(candidates));
   while (!candidates.empty()) {
     AuthorId best = candidates.front();
@@ -101,9 +129,9 @@ void DynamicCoverMaintainer::CoverEdge(AuthorId a, AuthorId b) {
     }
     clique.push_back(best);
     std::vector<AuthorId> next;
+    const std::vector<AuthorId>& neighbors_best = NeighborsOf(best);
     std::set_intersection(candidates.begin(), candidates.end(),
-                          graph_.Neighbors(best).begin(),
-                          graph_.Neighbors(best).end(),
+                          neighbors_best.begin(), neighbors_best.end(),
                           std::back_inserter(next));
     next.erase(std::remove(next.begin(), next.end(), best), next.end());
     candidates = std::move(next);
@@ -112,27 +140,31 @@ void DynamicCoverMaintainer::CoverEdge(AuthorId a, AuthorId b) {
 }
 
 void DynamicCoverMaintainer::AddAuthor(AuthorId a) {
-  if (graph_.HasVertex(a)) return;
-  graph_.AddVertex(a);
-  EnsureSingleton(a);
+  if (authors_.try_emplace(a).second) EnsureSingleton(a);
 }
 
 bool DynamicCoverMaintainer::RemoveAuthor(AuthorId a) {
-  if (!graph_.HasVertex(a)) return false;
+  if (!HasVertex(a)) return false;
   // Dropping incident edges via RemoveEdge keeps the cover repaired; the
   // copy is needed because RemoveEdge mutates adjacency.
-  const std::vector<AuthorId> neighbors = graph_.Neighbors(a);
+  const std::vector<AuthorId> neighbors = NeighborsOf(a);
   for (AuthorId b : neighbors) RemoveEdge(a, b);
   // Dissolve the remaining singleton(s) of a.
   std::vector<SlotId> remaining = CliquesOf(a);
   for (SlotId slot : remaining) DissolveClique(slot);
-  author_to_cliques_.erase(a);
-  graph_.RemoveVertex(a);
+  authors_.erase(a);
   return true;
 }
 
 bool DynamicCoverMaintainer::AddEdge(AuthorId a, AuthorId b) {
-  if (!graph_.AddEdge(a, b)) return false;
+  if (a == b || !HasVertex(a) || !HasVertex(b) || IsNeighbor(a, b)) {
+    return false;
+  }
+  for (auto [from, to] : {std::pair<AuthorId, AuthorId>{a, b},
+                          std::pair<AuthorId, AuthorId>{b, a}}) {
+    std::vector<AuthorId>& row = authors_[from].neighbors;
+    row.insert(std::lower_bound(row.begin(), row.end(), to), to);
+  }
   // Try to absorb the edge into an existing clique of either endpoint.
   for (auto [from, to] : {std::pair<AuthorId, AuthorId>{a, b},
                           std::pair<AuthorId, AuthorId>{b, a}}) {
@@ -143,7 +175,7 @@ bool DynamicCoverMaintainer::AddEdge(AuthorId a, AuthorId b) {
       bool all_adjacent = true;
       for (AuthorId member : clique) {
         if (member != from && member != to &&
-            !graph_.IsNeighbor(member, to)) {
+            !IsNeighbor(member, to)) {
           all_adjacent = false;
           break;
         }
@@ -159,7 +191,12 @@ bool DynamicCoverMaintainer::AddEdge(AuthorId a, AuthorId b) {
 }
 
 bool DynamicCoverMaintainer::RemoveEdge(AuthorId a, AuthorId b) {
-  if (!graph_.RemoveEdge(a, b)) return false;
+  if (!IsNeighbor(a, b)) return false;
+  for (auto [from, to] : {std::pair<AuthorId, AuthorId>{a, b},
+                          std::pair<AuthorId, AuthorId>{b, a}}) {
+    std::vector<AuthorId>& row = authors_[from].neighbors;
+    row.erase(std::lower_bound(row.begin(), row.end(), to));
+  }
   // Dissolve every clique containing both endpoints, then re-cover its
   // surviving edges that lost their last clique.
   std::vector<SlotId> shared;
@@ -179,7 +216,7 @@ bool DynamicCoverMaintainer::RemoveEdge(AuthorId a, AuthorId b) {
       for (size_t j = i + 1; j < members.size(); ++j) {
         const AuthorId u = members[i];
         const AuthorId v = members[j];
-        if (!graph_.IsNeighbor(u, v)) continue;  // the removed edge itself
+        if (!IsNeighbor(u, v)) continue;  // the removed edge itself
         if (!SharesClique(u, v)) CoverEdge(u, v);
       }
     }
@@ -195,7 +232,7 @@ CliqueCover DynamicCoverMaintainer::Snapshot() const {
   for (const auto& clique : cliques_) {
     if (!clique.empty()) live.push_back(clique);
   }
-  return CliqueCover::FromCliques(std::move(live), graph_.num_vertices());
+  return CliqueCover::FromCliques(std::move(live), authors_.size());
 }
 
 }  // namespace firehose

@@ -25,23 +25,28 @@ namespace firehose {
 ///  * RemoveEdge {u,v}: every clique containing both endpoints is
 ///    dissolved; its still-present edges that lost their last covering
 ///    clique are re-covered greedily.
-///  * AddVertex / RemoveVertex: singleton bookkeeping plus the edge rules.
+///  * AddAuthor / RemoveAuthor: singleton bookkeeping plus the edge rules.
 ///
-/// Invariant after every operation: `cover_snapshot()` is a valid clique
-/// edge cover of `graph()` (validated by the dynamic_cover property
-/// tests against CliqueCover::IsValidFor).
+/// Invariant after every operation: `Snapshot()` is a valid clique edge
+/// cover of `graph()` (validated by the dynamic_cover property tests
+/// against CliqueCover::IsValidFor).
 ///
-/// Consumers take immutable snapshots: CliqueBin keys its bins by
-/// CliqueId, so a running diversifier keeps using the snapshot it was
-/// built with and switches to a fresh snapshot at a window boundary —
-/// the same operational model as the paper's weekly recompute, at a
-/// fraction of the cost.
+/// The maintainer is the one owner of a mutable author graph; AuthorGraph
+/// itself is immutable. Consumers take immutable snapshots of both the
+/// graph and the cover: CliqueBin keys its bins by CliqueId, so a
+/// running diversifier keeps using the snapshot it was built with and
+/// switches to a fresh snapshot at a window boundary — the same
+/// operational model as the paper's weekly recompute, at a fraction of
+/// the cost.
 class DynamicCoverMaintainer {
  public:
-  /// Takes over `graph` and builds the initial greedy cover.
-  explicit DynamicCoverMaintainer(AuthorGraph graph);
+  /// Copies `graph` into the maintainer's own mutable adjacency and
+  /// builds the initial greedy cover.
+  explicit DynamicCoverMaintainer(const AuthorGraph& graph);
 
-  const AuthorGraph& graph() const { return graph_; }
+  /// An immutable snapshot of the maintained graph, built from the
+  /// whole graph on every call; repairs never build one.
+  AuthorGraph graph() const;
 
   /// Adds an isolated author with a singleton clique. No-op if present.
   void AddAuthor(AuthorId a);
@@ -70,6 +75,19 @@ class DynamicCoverMaintainer {
   using SlotId = uint32_t;
   static constexpr SlotId kDead = static_cast<SlotId>(-1);
 
+  /// One author of the maintained graph.
+  struct Author {
+    std::vector<AuthorId> neighbors;  // sorted
+    std::vector<SlotId> cliques;      // live cliques holding the author
+  };
+
+  bool HasVertex(AuthorId a) const { return authors_.count(a) != 0; }
+  bool IsNeighbor(AuthorId a, AuthorId b) const;
+  /// Sorted neighbors of vertex `a`.
+  const std::vector<AuthorId>& NeighborsOf(AuthorId a) const {
+    return authors_.at(a).neighbors;
+  }
+
   /// Cliques containing `a`; empty list for unknown authors.
   const std::vector<SlotId>& CliquesOf(AuthorId a) const;
 
@@ -83,10 +101,11 @@ class DynamicCoverMaintainer {
   /// clique).
   void CoverEdge(AuthorId a, AuthorId b);
 
-  AuthorGraph graph_;
+  // The graph as sorted adjacency per author, so an edge or vertex delta
+  // costs its endpoints' degrees, not the graph's size.
+  std::unordered_map<AuthorId, Author> authors_;
   std::vector<std::vector<AuthorId>> cliques_;  // slot -> members (sorted)
   std::vector<SlotId> free_slots_;
-  std::unordered_map<AuthorId, std::vector<SlotId>> author_to_cliques_;
   size_t live_cliques_ = 0;
   uint64_t cliques_created_ = 0;
   uint64_t cliques_dissolved_ = 0;

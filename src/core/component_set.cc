@@ -11,7 +11,6 @@
 namespace firehose {
 
 ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
-                           const IndexedGraph& index,
                            std::vector<SharedComponent> components)
     : algorithm_(algorithm),
       evict_event_(std::string(AlgorithmName(algorithm)) + ".evict") {
@@ -22,7 +21,7 @@ ComponentSet::ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
   std::vector<uint32_t> bin_ids;
   std::vector<AuthorId> set_authors;
   uint32_t num_bins = 0;
-  SubgraphInducer inducer(index);
+  SubgraphInducer inducer(graph);
   CsrGraph subgraph;  // local vertex i is the component's authors[i]
   // CliqueBin: the greedy cover of `subgraph`; local vertex i lies in
   // cliques clique_ids[clique_offsets[i] .. clique_offsets[i + 1]).
@@ -182,8 +181,11 @@ IngestStats ComponentSet::AggregateStats() const {
 }
 
 size_t ComponentSet::ApproxBytes() const {
+  // Only UniBin holds a graph; the others' empty one is not counted.
+  const size_t graph_bytes =
+      algorithm_ == Algorithm::kUniBin ? author_graph_.ApproxBytes() : 0;
   return static_cast<size_t>(live_bin_bytes_) +
-         bins_.capacity() * sizeof(PostBin) + author_graph_.ApproxBytes() +
+         bins_.capacity() * sizeof(PostBin) + graph_bytes +
          route_offsets_.capacity() * sizeof(uint32_t) +
          routes_.capacity() * sizeof(Route) +
          route_bins_.capacity() * sizeof(uint32_t) +

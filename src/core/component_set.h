@@ -22,12 +22,11 @@ namespace firehose {
 /// the sequential engine's.
 class ComponentSet {
  public:
-  /// `graph` and `index` (built from `graph`) are read during
-  /// construction only. Each component is induced from `index` and, for
-  /// CliqueBin, covered by CliqueCover::GreedyCliques; both are linear
-  /// in the component's adjacency and allocate nothing per vertex.
+  /// `graph` is read during construction only. Each component is
+  /// induced from it and, for CliqueBin, covered by
+  /// CliqueCover::GreedyCliques; both are linear in the component's
+  /// adjacency and allocate nothing per vertex.
   ComponentSet(Algorithm algorithm, const AuthorGraph& graph,
-               const IndexedGraph& index,
                std::vector<SharedComponent> components);
 
   /// Offers a time-ordered burst, post-major: each post goes to every

@@ -132,14 +132,8 @@ class SUserEngine final : public MultiUserEngine {
  public:
   SUserEngine(Algorithm algorithm, const DiversityThresholds& t,
               const AuthorGraph& graph, const std::vector<User>& users)
-      : SUserEngine(algorithm, t, graph, IndexedGraph(graph), users) {}
-
-  SUserEngine(Algorithm algorithm, const DiversityThresholds& t,
-              const AuthorGraph& graph, const IndexedGraph& index,
-              const std::vector<User>& users)
       : name_(EngineName("S_", algorithm)),
-        set_(algorithm, graph, index,
-             ComputeSharedComponents(t, index, users)) {}
+        set_(algorithm, graph, ComputeSharedComponents(t, graph, users)) {}
 
   void Offer(const Post& post, std::vector<UserId>* delivered) override {
     set_.OfferBatch(std::span<const Post>(&post, 1), &scratch_);
@@ -168,12 +162,6 @@ class SUserEngine final : public MultiUserEngine {
 std::vector<SharedComponent> ComputeSharedComponents(
     const DiversityThresholds& t, const AuthorGraph& graph,
     const std::vector<User>& users) {
-  return ComputeSharedComponents(t, IndexedGraph(graph), users);
-}
-
-std::vector<SharedComponent> ComputeSharedComponents(
-    const DiversityThresholds& t, const IndexedGraph& graph,
-    const std::vector<User>& users) {
   // Key every connected component of every user's G_i by its exact
   // author set AND the user's effective thresholds; identical keys share
   // one component (a customized user gets private components).
@@ -183,8 +171,8 @@ std::vector<SharedComponent> ComputeSharedComponents(
   SubgraphInducer inducer(graph);
   std::vector<AuthorId> subscriptions;
   CsrGraph gi;
-  std::vector<uint8_t> seen;
-  std::vector<uint32_t> stack;
+  std::vector<uint32_t> component_offsets;
+  std::vector<uint32_t> component_members;
   std::vector<AuthorId> component;
   for (const User& user : users) {
     const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
@@ -196,24 +184,13 @@ std::vector<SharedComponent> ComputeSharedComponents(
         subscriptions.end());
     inducer.Induce(subscriptions, &gi);
     // Components in order of their smallest author, each sorted.
-    seen.assign(subscriptions.size(), 0);
-    for (uint32_t root = 0; root < subscriptions.size(); ++root) {
-      if (seen[root] != 0) continue;
+    gi.ConnectedComponents(&component_offsets, &component_members);
+    for (size_t k = 0; k + 1 < component_offsets.size(); ++k) {
       component.clear();
-      stack.assign(1, root);
-      seen[root] = 1;
-      while (!stack.empty()) {
-        const uint32_t v = stack.back();
-        stack.pop_back();
-        component.push_back(subscriptions[v]);
-        for (uint32_t w : gi.Row(v)) {
-          if (seen[w] == 0) {
-            seen[w] = 1;
-            stack.push_back(w);
-          }
-        }
+      for (uint32_t i = component_offsets[k]; i < component_offsets[k + 1];
+           ++i) {
+        component.push_back(subscriptions[component_members[i]]);
       }
-      std::sort(component.begin(), component.end());
 
       std::vector<size_t>& same_key =
           by_key[HashCombine(AuthorSetKey(component), thresholds_key)];

@@ -50,17 +50,12 @@ struct SharedComponent {
 
 /// Computes the distinct (author set, thresholds) components for `users`
 /// over `graph`. Components are ordered by first discovery; posts by an
-/// author reach every returned component containing that author.
+/// author reach every returned component containing that author. Each
+/// user's G_i is induced from `graph` in time linear in the
+/// subscriptions' adjacency and searched for components on that local
+/// graph.
 std::vector<SharedComponent> ComputeSharedComponents(
     const DiversityThresholds& t, const AuthorGraph& graph,
-    const std::vector<User>& users);
-
-/// The same over a prebuilt index of the graph, so one index can serve
-/// discovery and every set built after it. Each user's G_i is induced
-/// from `graph` in time linear in the subscriptions' adjacency and
-/// searched for components on that local graph.
-std::vector<SharedComponent> ComputeSharedComponents(
-    const DiversityThresholds& t, const IndexedGraph& graph,
     const std::vector<User>& users);
 
 /// An engine solving M-SPSD (Problem 2): each offered post is routed to

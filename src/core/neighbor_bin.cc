@@ -14,7 +14,7 @@ bool NeighborBinDiversifier::Offer(const Post& post) {
   // Route: bin(author) is scanned; a non-redundant post goes into it and
   // into each neighbor's bin. Every post in bin(author) is from the
   // author or a similar author, so only content is checked.
-  const std::vector<AuthorId>& neighbors = graph_->Neighbors(post.author);
+  const AuthorGraph::NeighborView neighbors = graph_->Neighbors(post.author);
   auto bin_at = [&](size_t i) -> PostBin& {
     return bins_[i == 0 ? post.author : neighbors[i - 1]];
   };

@@ -35,6 +35,18 @@ inline constexpr uint8_t kWireVersion = 1;
 /// length field is a corrupt or hostile header, not a real message.
 inline constexpr uint32_t kMaxNetFrameBytes = 1u << 20;
 
+/// Bound on the ids that size the seal's tables. A Seal's `num_users`
+/// sizes the subscription and user lists and every shard's timelines; a
+/// Follow's author id sizes the author-to-shard table and each shard's
+/// route offsets. The server rejects a Seal with num_users above this,
+/// and a Follow whose user or author id is not below it, before anything
+/// is sized, both off the wire and from its control WAL. At the cap the
+/// per-user tables take 24 B (subscriptions) + 72 B (users) + 24 B per
+/// shard (timelines) per user, and the per-author ones 24 B (author to
+/// shards) + 4 B per shard (route offsets): on one shard about 0.5 GiB
+/// for users and 0.1 GiB for authors.
+inline constexpr uint32_t kMaxWireIds = 1u << 22;
+
 /// Handshake magic ("FHS1") carried inside kHello, so a stray client
 /// speaking a different protocol is rejected by value, not by accident.
 inline constexpr uint32_t kHelloMagic = 0x46485331;

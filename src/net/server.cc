@@ -38,6 +38,13 @@ std::string ShardWalDir(const std::string& data_dir, uint32_t shard) {
   return data_dir + "/shard-" + std::to_string(shard);
 }
 
+/// The ids a Follow or Seal may carry (kMaxWireIds), checked before the
+/// seal sizes anything by them.
+bool FollowIdsInRange(uint64_t user, uint64_t author) {
+  return user < kMaxWireIds && author < kMaxWireIds;
+}
+bool SealUsersInRange(uint64_t num_users) { return num_users <= kMaxWireIds; }
+
 }  // namespace
 
 // ShardCmd/Barrier live in internal (not the anonymous namespace):
@@ -89,17 +96,16 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   /// Starts the worker thread. It builds the shard's set from
-  /// `components` (reading `graph` and `index`), sizes the timelines,
-  /// replays the WAL, arrives at `built`, then serves its queue. Once it
-  /// has arrived it no longer reads `graph`, `index` or `built`, and
-  /// build_error() is final.
-  void Spawn(const AuthorGraph& graph, const IndexedGraph& index,
+  /// `components` (reading `graph`), sizes the timelines, replays the
+  /// WAL, arrives at `built`, then serves its queue. Once it has arrived
+  /// it no longer reads `graph` or `built`, and build_error() is final.
+  void Spawn(const AuthorGraph& graph,
              std::vector<SharedComponent> components, uint64_t num_users,
              Barrier* built) {
-    thread_ = std::thread([this, graph = &graph, index = &index,
+    thread_ = std::thread([this, graph = &graph,
                            components = std::move(components), num_users,
                            built]() mutable {
-      Run(*graph, *index, std::move(components), num_users, built);
+      Run(*graph, std::move(components), num_users, built);
     });
   }
 
@@ -150,13 +156,12 @@ class ShardWorker {
   size_t queue_depth() const { return queue_.ApproxSize(); }
 
  private:
-  void Run(const AuthorGraph& graph, const IndexedGraph& index,
-           std::vector<SharedComponent> components, uint64_t num_users,
-           Barrier* built) FIREHOSE_RUNS_ON(shard_worker) {
+  void Run(const AuthorGraph& graph, std::vector<SharedComponent> components,
+           uint64_t num_users, Barrier* built) FIREHOSE_RUNS_ON(shard_worker) {
     // An allocation failure becomes the shard's build error instead of
     // ending the process from a worker thread.
     try {
-      set_.emplace(options_.algorithm, graph, index, std::move(components));
+      set_.emplace(options_.algorithm, graph, std::move(components));
       timelines_.resize(static_cast<size_t>(num_users));
       (void)RecoverDurability(&build_error_);  // sets it on failure
     } catch (const std::exception& e) {
@@ -324,14 +329,9 @@ class ShardWorker {
           }
         }
         Ingest(batch);
-        if (watchdog_task >= 0) {
-          options_.watchdog->ReportProgress(watchdog_task, processed);
-          options_.watchdog->SetQueueDepth(
-              watchdog_task, static_cast<int64_t>(queue_.ApproxSize()));
-        }
-        if (!have_control) continue;
-        cmd = std::move(control);
+        if (have_control) cmd = std::move(control);
       }
+      // One report per step: a post run, a control command, or both.
       if (watchdog_task >= 0) {
         options_.watchdog->ReportProgress(watchdog_task, processed);
         options_.watchdog->SetQueueDepth(
@@ -341,7 +341,7 @@ class ShardWorker {
         case ShardCmd::Kind::kStop:
           return;
         case ShardCmd::Kind::kPost:
-          break;  // unreachable: posts are gathered above
+          break;  // a post run that no control command ended
         case ShardCmd::Kind::kPoll: {
           std::vector<PostId> timeline;
           if (cmd.user < timelines_.size()) timeline = timelines_[cmd.user];
@@ -451,16 +451,17 @@ bool Server::Start(std::string* error) {
       uint64_t b = 0;
       if (!reader.GetU8(&type)) type = 0;
       if (type == kControlFollow && reader.GetVarint(&a) &&
-          reader.GetVarint(&b) && reader.AtEnd()) {
+          reader.GetVarint(&b) && reader.AtEnd() && FollowIdsInRange(a, b)) {
         follows_.emplace_back(static_cast<UserId>(a),
                               static_cast<AuthorId>(b));
       } else if (type == kControlSeal && reader.GetVarint(&a) &&
-                 reader.AtEnd()) {
+                 reader.AtEnd() && SealUsersInRange(a)) {
         num_users_ = a;
         sealed_.store(true, std::memory_order_release);
       } else {
         *error = "control WAL record " + std::to_string(record.seq) +
-                 " is not a follow/seal event";
+                 " is not a follow/seal event within the id cap " +
+                 std::to_string(kMaxWireIds);
         return false;
       }
     }
@@ -554,15 +555,13 @@ bool Server::BuildShards(std::string* error) {
   }
 
   // Place each component on a shard; every shard then owns one
-  // ComponentSet built from exactly its components. One index of the
-  // graph serves discovery and every shard's build.
-  const IndexedGraph index(*graph_);
+  // ComponentSet built from exactly its components.
   const PlacementRing ring(options_.num_shards,
                            ServeOptions::vnodes_per_shard);
   AuthorId max_author = 0;
   std::vector<std::vector<SharedComponent>> placed(options_.num_shards);
   for (SharedComponent& component :
-       ComputeSharedComponents(options_.thresholds, index, users)) {
+       ComputeSharedComponents(options_.thresholds, *graph_, users)) {
     const uint32_t shard = ring.ShardFor(ComponentKey(component.authors));
     for (AuthorId a : component.authors) max_author = std::max(max_author, a);
     placed[shard].push_back(std::move(component));
@@ -585,8 +584,7 @@ bool Server::BuildShards(std::string* error) {
   internal::Barrier built(options_.num_shards);
   for (uint32_t s = 0; s < placed.size(); ++s) {
     shards_.push_back(std::make_unique<internal::ShardWorker>(s, options_));
-    shards_.back()->Spawn(*graph_, index, std::move(placed[s]), num_users_,
-                          &built);
+    shards_.back()->Spawn(*graph_, std::move(placed[s]), num_users_, &built);
   }
   built.Wait();
   for (const auto& shard : shards_) {
@@ -677,6 +675,12 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
         (void)SendError(fd, "subscriptions are sealed");
         return false;
       }
+      if (!FollowIdsInRange(message.user, message.author)) {
+        malformed_.fetch_add(1, std::memory_order_seq_cst);
+        (void)SendError(fd, "follow ids must be below " +
+                                std::to_string(kMaxWireIds));
+        return false;
+      }
       if (!AppendControlRecord(
               EncodeFollowRecord(message.user, message.author),
               /*sync=*/false)) {
@@ -690,6 +694,12 @@ bool Server::HandleMessage(int fd, const NetMessage& message) {
       if (sealed()) {
         malformed_.fetch_add(1, std::memory_order_seq_cst);
         (void)SendError(fd, "already sealed");
+        return false;
+      }
+      if (!SealUsersInRange(message.num_users)) {
+        malformed_.fetch_add(1, std::memory_order_seq_cst);
+        (void)SendError(fd, "seal num_users must be at most " +
+                                std::to_string(kMaxWireIds));
         return false;
       }
       num_users_ = message.num_users;

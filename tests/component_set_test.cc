@@ -9,7 +9,9 @@
 #include "src/core/component_set.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -57,11 +59,10 @@ std::vector<ComponentSet> Partition(Algorithm algorithm,
   for (SharedComponent& shared : ComputeSharedComponents(t, w.graph, w.users)) {
     owned[next++ % k].push_back(std::move(shared));
   }
-  const IndexedGraph index(w.graph);
   std::vector<ComponentSet> sets;
   sets.reserve(k);
   for (std::vector<SharedComponent>& part : owned) {
-    sets.emplace_back(algorithm, w.graph, index, std::move(part));
+    sets.emplace_back(algorithm, w.graph, std::move(part));
   }
   return sets;
 }
@@ -237,17 +238,54 @@ TEST(ShardedTest, ComputeSharedComponentsShape) {
   EXPECT_EQ(components[1].users, (std::vector<UserId>{2}));
 }
 
-/// The oracle for ComputeSharedComponents: each user's G_i through
-/// AuthorGraph::InducedSubgraph and ConnectedComponents, and a linear
-/// search for an equal (author set, thresholds) component.
+/// The components of the subgraph induced by `subscriptions`, found
+/// without the inducer: union-find over every pair of distinct
+/// subscriptions that IsNeighbor joins. Each component is sorted; they
+/// come in order of their smallest author.
+std::vector<std::vector<AuthorId>> PairwiseComponents(
+    const AuthorGraph& graph, std::vector<AuthorId> subscriptions) {
+  std::sort(subscriptions.begin(), subscriptions.end());
+  subscriptions.erase(std::unique(subscriptions.begin(), subscriptions.end()),
+                      subscriptions.end());
+  std::vector<size_t> parent(subscriptions.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (size_t i = 0; i < subscriptions.size(); ++i) {
+    for (size_t j = i + 1; j < subscriptions.size(); ++j) {
+      if (graph.IsNeighbor(subscriptions[i], subscriptions[j])) {
+        parent[find(i)] = find(j);
+      }
+    }
+  }
+  // Roots are visited in subscription order, so components come out
+  // ordered by their smallest (first) author and each stays sorted.
+  std::vector<std::vector<AuthorId>> components;
+  std::vector<size_t> slot(subscriptions.size(), SIZE_MAX);
+  for (size_t i = 0; i < subscriptions.size(); ++i) {
+    size_t& s = slot[find(i)];
+    if (s == SIZE_MAX) {
+      s = components.size();
+      components.emplace_back();
+    }
+    components[s].push_back(subscriptions[i]);
+  }
+  return components;
+}
+
+/// The oracle for ComputeSharedComponents: each user's G_i components
+/// from PairwiseComponents, and a linear search for an equal (author
+/// set, thresholds) component.
 std::vector<SharedComponent> ReferenceSharedComponents(
     const DiversityThresholds& t, const AuthorGraph& graph,
     const std::vector<User>& users) {
   std::vector<SharedComponent> components;
   for (const User& user : users) {
     const DiversityThresholds user_t = user.custom_thresholds.value_or(t);
-    const AuthorGraph gi = graph.InducedSubgraph(user.subscriptions);
-    for (std::vector<AuthorId>& authors : gi.ConnectedComponents()) {
+    for (std::vector<AuthorId>& authors :
+         PairwiseComponents(graph, user.subscriptions)) {
       size_t index = 0;
       while (index < components.size() &&
              !(components[index].authors == authors &&
@@ -320,10 +358,11 @@ TEST(SharedComponentsTest, MatchesInducedSubgraphReference) {
 }
 
 TEST(SharedComponentsTest, InducerMatchesInducedSubgraph) {
+  // One inducer reused across subsets, and InducedSubgraph, both checked
+  // against the whole graph's pairwise IsNeighbor.
   Rng rng(7);
   const AuthorGraph graph = testing_util::RandomAuthorGraph(30, 0.2, rng);
-  const IndexedGraph index(graph);
-  SubgraphInducer inducer(index);
+  SubgraphInducer inducer(graph);
   CsrGraph local;
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<AuthorId> subset;
@@ -331,12 +370,19 @@ TEST(SharedComponentsTest, InducerMatchesInducedSubgraph) {
       if (rng.Bernoulli(0.4)) subset.push_back(a);
     }
     inducer.Induce(subset, &local);
-    const AuthorGraph want = graph.InducedSubgraph(subset);
+    const AuthorGraph induced = graph.InducedSubgraph(subset);
     ASSERT_EQ(local.num_vertices(), subset.size());
+    EXPECT_EQ(induced.vertices(), subset);
     for (uint32_t i = 0; i < local.num_vertices(); ++i) {
+      std::vector<AuthorId> want;
+      for (AuthorId b : subset) {
+        if (graph.IsNeighbor(subset[i], b)) want.push_back(b);
+      }
       std::vector<AuthorId> row;
       for (uint32_t j : local.Row(i)) row.push_back(subset[j]);
-      EXPECT_EQ(row, want.Neighbors(subset[i])) << "trial " << trial;
+      EXPECT_EQ(row, want) << "trial " << trial;
+      EXPECT_EQ(testing_util::NeighborList(induced, subset[i]), want)
+          << "trial " << trial;
     }
   }
 }

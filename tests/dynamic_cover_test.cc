@@ -15,6 +15,7 @@
 namespace firehose {
 namespace {
 
+using testing_util::NeighborList;
 using testing_util::PaperExampleGraph;
 
 TEST(DynamicCoverTest, InitialCoverIsValid) {
@@ -102,6 +103,86 @@ TEST(DynamicCoverTest, RemoveHubAuthor) {
   EXPECT_FALSE(cover.CliquesOf(3).empty());
 }
 
+// The author graph's mutations live in the maintainer (AuthorGraph is
+// immutable); these check them through graph() snapshots, on the graph
+// of the paper's Figure 5a.
+
+TEST(AuthorGraphMutationTest, AddVertexAndEdge) {
+  DynamicCoverMaintainer maintainer(PaperExampleGraph());
+  maintainer.AddAuthor(7);
+  EXPECT_TRUE(maintainer.graph().HasVertex(7));
+  EXPECT_EQ(maintainer.graph().num_vertices(), 5u);
+  maintainer.AddAuthor(7);  // idempotent
+  EXPECT_EQ(maintainer.graph().num_vertices(), 5u);
+  EXPECT_TRUE(maintainer.AddEdge(7, 0));
+  const AuthorGraph g = maintainer.graph();
+  EXPECT_TRUE(g.IsNeighbor(0, 7));
+  EXPECT_TRUE(g.IsNeighbor(7, 0));
+  EXPECT_EQ(g.num_edges(), 5u);
+  EXPECT_TRUE(maintainer.Snapshot().IsValidFor(g));
+}
+
+TEST(AuthorGraphMutationTest, AddEdgeRejections) {
+  DynamicCoverMaintainer maintainer(PaperExampleGraph());
+  EXPECT_FALSE(maintainer.AddEdge(0, 0));   // self loop
+  EXPECT_FALSE(maintainer.AddEdge(0, 1));   // duplicate
+  EXPECT_FALSE(maintainer.AddEdge(0, 42));  // unknown endpoint
+  EXPECT_FALSE(maintainer.AddEdge(42, 0));
+  EXPECT_EQ(maintainer.graph().num_edges(), 4u);
+  EXPECT_FALSE(maintainer.graph().HasVertex(42));
+}
+
+TEST(AuthorGraphMutationTest, RemoveEdge) {
+  DynamicCoverMaintainer maintainer(PaperExampleGraph());
+  EXPECT_TRUE(maintainer.RemoveEdge(0, 1));
+  const AuthorGraph g = maintainer.graph();
+  EXPECT_FALSE(g.IsNeighbor(0, 1));
+  EXPECT_FALSE(g.IsNeighbor(1, 0));
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_FALSE(maintainer.RemoveEdge(0, 1));  // already gone
+  EXPECT_FALSE(maintainer.RemoveEdge(1, 0));
+  EXPECT_FALSE(maintainer.RemoveEdge(0, 42));
+  EXPECT_EQ(maintainer.graph().num_edges(), 3u);
+}
+
+TEST(AuthorGraphMutationTest, RemoveVertexDropsIncidentEdges) {
+  DynamicCoverMaintainer maintainer(PaperExampleGraph());
+  EXPECT_TRUE(maintainer.RemoveAuthor(2));  // degree-3 bridge vertex
+  const AuthorGraph g = maintainer.graph();
+  EXPECT_FALSE(g.HasVertex(2));
+  EXPECT_EQ(g.num_vertices(), 3u);
+  EXPECT_EQ(g.num_edges(), 1u);  // only {0,1} survives
+  EXPECT_TRUE(g.Neighbors(3).empty());
+  EXPECT_FALSE(maintainer.RemoveAuthor(2));
+}
+
+TEST(AuthorGraphMutationTest, AdjacencyStaysSorted) {
+  DynamicCoverMaintainer maintainer(
+      AuthorGraph::FromEdges({0, 1, 2, 3, 4}, {}));
+  EXPECT_TRUE(maintainer.AddEdge(2, 4));
+  EXPECT_TRUE(maintainer.AddEdge(2, 0));
+  EXPECT_TRUE(maintainer.AddEdge(2, 3));
+  EXPECT_EQ(NeighborList(maintainer.graph(), 2),
+            (std::vector<AuthorId>{0, 3, 4}));
+}
+
+TEST(AuthorGraphMutationTest, MutatedGraphMatchesFromEdges) {
+  DynamicCoverMaintainer maintainer(AuthorGraph::FromEdges({0, 1, 2, 3}, {}));
+  maintainer.AddEdge(0, 1);
+  maintainer.AddEdge(0, 2);
+  maintainer.AddEdge(1, 2);
+  maintainer.AddEdge(2, 3);
+  maintainer.RemoveEdge(0, 2);
+  const AuthorGraph incremental = maintainer.graph();
+  const AuthorGraph direct =
+      AuthorGraph::FromEdges({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
+  EXPECT_EQ(incremental.num_edges(), direct.num_edges());
+  for (AuthorId a : direct.vertices()) {
+    EXPECT_EQ(NeighborList(incremental, a), NeighborList(direct, a));
+  }
+  EXPECT_TRUE(maintainer.Snapshot().IsValidFor(incremental));
+}
+
 class DynamicCoverPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DynamicCoverPropertyTest, RandomChurnPreservesValidity) {
@@ -112,8 +193,9 @@ TEST_P(DynamicCoverPropertyTest, RandomChurnPreservesValidity) {
 
   // Mirror of the maintained graph's edge set, for cross-checking.
   std::set<std::pair<AuthorId, AuthorId>> edges;
-  for (AuthorId u : maintainer.graph().vertices()) {
-    for (AuthorId v : maintainer.graph().Neighbors(u)) {
+  const AuthorGraph initial = maintainer.graph();
+  for (AuthorId u : initial.vertices()) {
+    for (AuthorId v : initial.Neighbors(u)) {
       if (u < v) edges.insert({u, v});
     }
   }
@@ -140,10 +222,11 @@ TEST_P(DynamicCoverPropertyTest, RandomChurnPreservesValidity) {
 
   // Final cross-checks: edge set matches, cover valid, and the cover's
   // size is in the same ballpark as a from-scratch greedy cover.
-  ASSERT_TRUE(maintainer.Snapshot().IsValidFor(maintainer.graph()));
+  const AuthorGraph final_graph = maintainer.graph();
+  ASSERT_TRUE(maintainer.Snapshot().IsValidFor(final_graph));
   uint64_t live_edges = 0;
-  for (AuthorId u : maintainer.graph().vertices()) {
-    for (AuthorId v : maintainer.graph().Neighbors(u)) {
+  for (AuthorId u : final_graph.vertices()) {
+    for (AuthorId v : final_graph.Neighbors(u)) {
       if (u < v) {
         ++live_edges;
         EXPECT_TRUE(edges.count({u, v}) > 0);
@@ -152,7 +235,7 @@ TEST_P(DynamicCoverPropertyTest, RandomChurnPreservesValidity) {
   }
   EXPECT_EQ(live_edges, edges.size());
 
-  const CliqueCover scratch = CliqueCover::Greedy(maintainer.graph());
+  const CliqueCover scratch = CliqueCover::Greedy(final_graph);
   const CliqueCover incremental = maintainer.Snapshot();
   EXPECT_LE(incremental.TotalCliqueSize(),
             scratch.TotalCliqueSize() * 3 + 16)
@@ -189,14 +272,13 @@ TEST(DynamicCoverTest, FullIncrementalPipelineMatchesRebuild) {
     social.AddFollow(follower, followee);
     social.Finalize();
     // Incremental path: recompute only the affected pairs and apply the
-    // resulting edge toggles to the maintained graph.
+    // resulting edge toggles to the maintained graph (adding a present
+    // edge or removing an absent one is a rejected no-op).
     for (const AuthorPairSimilarity& pair :
          SimilarityDeltaForFollowChange(social, follower, followee, authors)) {
-      const bool should_be_edge = pair.similarity >= 1.0 - lambda_a;
-      const bool is_edge = maintainer.graph().IsNeighbor(pair.a, pair.b);
-      if (should_be_edge && !is_edge) {
+      if (pair.similarity >= 1.0 - lambda_a) {
         maintainer.AddEdge(pair.a, pair.b);
-      } else if (!should_be_edge && is_edge) {
+      } else {
         maintainer.RemoveEdge(pair.a, pair.b);
       }
     }
@@ -206,11 +288,12 @@ TEST(DynamicCoverTest, FullIncrementalPipelineMatchesRebuild) {
   const auto final_pairs = AllPairsSimilarity(social, authors, 0.01);
   const AuthorGraph scratch =
       AuthorGraph::FromSimilarities(authors, final_pairs, lambda_a);
-  EXPECT_EQ(maintainer.graph().num_edges(), scratch.num_edges());
+  const AuthorGraph maintained = maintainer.graph();
+  EXPECT_EQ(maintained.num_edges(), scratch.num_edges());
   for (AuthorId a : scratch.vertices()) {
-    EXPECT_EQ(maintainer.graph().Neighbors(a), scratch.Neighbors(a)) << a;
+    EXPECT_EQ(NeighborList(maintained, a), NeighborList(scratch, a)) << a;
   }
-  EXPECT_TRUE(maintainer.Snapshot().IsValidFor(maintainer.graph()));
+  EXPECT_TRUE(maintainer.Snapshot().IsValidFor(maintained));
 }
 
 TEST(DynamicCoverTest, SnapshotFeedsCliqueBin) {

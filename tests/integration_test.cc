@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/firehose.h"
+#include "tests/test_util.h"
 
 namespace firehose {
 namespace {
@@ -165,7 +166,7 @@ TEST_F(IntegrationFixture, MultiUserEnginesAgreeEndToEnd) {
   std::vector<User> users;
   UserId next = 0;
   for (AuthorId a = 0; a < 300; a += 10) {
-    std::vector<AuthorId> subs = graph_->Neighbors(a);
+    std::vector<AuthorId> subs = testing_util::NeighborList(*graph_, a);
     subs.push_back(a);
     users.push_back(User{next++, subs});
   }

@@ -8,6 +8,7 @@
 #include "src/gen/social_graph_gen.h"
 #include "src/gen/stream_gen.h"
 #include "src/io/binary.h"
+#include "tests/test_util.h"
 
 namespace firehose {
 namespace {
@@ -82,7 +83,8 @@ TEST_F(PersistFixture, AuthorGraphRoundTrip) {
   EXPECT_EQ(loaded.vertices(), graph_.vertices());
   EXPECT_EQ(loaded.num_edges(), graph_.num_edges());
   for (AuthorId a : graph_.vertices()) {
-    EXPECT_EQ(loaded.Neighbors(a), graph_.Neighbors(a));
+    EXPECT_EQ(testing_util::NeighborList(loaded, a),
+              testing_util::NeighborList(graph_, a));
   }
   std::remove(path.c_str());
 }

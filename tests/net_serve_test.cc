@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/firehose.h"
@@ -663,6 +664,88 @@ TEST_F(NetServeTest, HelloWithWrongMagicIsRejected) {
   ASSERT_EQ(reader.Next(&response, 2000), FrameReader::Result::kMessage);
   EXPECT_EQ(response.type, MsgType::kError);
   server.Stop();
+}
+
+TEST_F(NetServeTest, OutOfRangeIdsAreRejectedBeforeAnythingIsSized) {
+  // Each frame would size the seal's tables by its id: a Follow's user
+  // or author id, or a Seal's num_users. Each is answered with an Error
+  // on its own connection, counted as malformed, and never logged.
+  Server server(Options(2, data_dir_), &workload_.graph);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  struct BadFrame {
+    const char* what;
+    bool follow;
+    uint32_t user;
+    uint32_t author;
+    uint64_t num_users;
+  };
+  const BadFrame bad_frames[] = {
+      {"follow user at the cap", true, kMaxWireIds, 0, 0},
+      {"follow author at the cap", true, 0, kMaxWireIds, 0},
+      {"follow author near UINT32_MAX", true, 0, UINT32_MAX - 1, 0},
+      {"seal above the cap", false, 0, 0, uint64_t{kMaxWireIds} + 1},
+      {"seal near UINT64_MAX", false, 0, 0, UINT64_MAX - 1},
+  };
+  uint64_t malformed = 0;
+  for (const BadFrame& bad : bad_frames) {
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    ASSERT_TRUE(bad.follow ? client.Follow(bad.user, bad.author)
+                           : client.Seal(bad.num_users));
+    EXPECT_FALSE(client.Flush()) << bad.what;
+    EXPECT_NE(client.last_error().find(std::to_string(kMaxWireIds)),
+              std::string::npos)
+        << bad.what << ": " << client.last_error();
+    EXPECT_EQ(server.stats().malformed, ++malformed) << bad.what;
+  }
+
+  // A valid session afterwards is served exactly, and so is its
+  // recovery: none of the rejected frames reached the control WAL.
+  const auto expected = ExpectedTimelines(workload_, Algorithm::kCliqueBin,
+                                          DiversityThresholds{});
+  {
+    ServeClient client;
+    ASSERT_TRUE(client.Connect(server.port())) << client.last_error();
+    SealUsers(client);
+    SendStream(client);
+    ExpectServedTimelinesMatch(client, expected);
+    client.Disconnect();
+  }
+  server.Stop();
+  Server recovered(Options(2, data_dir_), &workload_.graph);
+  ASSERT_TRUE(recovered.Start(&error)) << error;
+  ServeClient client;
+  ServeClient::ConnectInfo info;
+  ASSERT_TRUE(client.Connect(recovered.port(), &info)) << client.last_error();
+  EXPECT_TRUE(info.sealed);
+  ExpectServedTimelinesMatch(client, expected);
+  client.Disconnect();
+  recovered.Stop();
+}
+
+TEST_F(NetServeTest, ControlWalIdsBeyondTheCapFailRecovery) {
+  // The same bound holds for a replayed control WAL: a record that the
+  // wire would have rejected stops Start before anything is sized.
+  const std::pair<const char*, std::string> records[] = {
+      {"follow", EncodeFollowRecord(0, kMaxWireIds)},
+      {"seal", EncodeSealRecord(uint64_t{kMaxWireIds} + 1)},
+  };
+  for (const auto& [what, record] : records) {
+    const std::string dir = data_dir_ + "/" + what;
+    dur::WalOptions wal_options;
+    wal_options.dir = dir + "/control";
+    dur::WalWriter writer(wal_options);
+    ASSERT_TRUE(writer.Open(0));
+    ASSERT_TRUE(writer.Append(EncodeFollowRecord(3, 5)));
+    ASSERT_TRUE(writer.Append(record));
+    ASSERT_TRUE(writer.Close());
+    Server server(Options(2, dir), &workload_.graph);
+    std::string error;
+    ASSERT_FALSE(server.Start(&error)) << what;
+    EXPECT_NE(error.find("control WAL record 1 "), std::string::npos)
+        << what << ": " << error;
+  }
 }
 
 TEST_F(NetServeTest, ControlRecordCodecsRoundTripThroughTheWal) {

@@ -365,11 +365,10 @@ Workbench MakeWorkbench(uint64_t seed, int num_authors, int num_users,
 std::vector<std::pair<PostId, UserId>> RunComponentShards(
     Algorithm algorithm, const DiversityThresholds& t, const Workbench& w,
     size_t num_shards) {
-  // One index serves discovery and every shard's build, as in a seal.
-  const IndexedGraph index(w.graph);
+  // One graph serves discovery and every shard's build, as in a seal.
   std::vector<std::vector<SharedComponent>> owned(num_shards);
   size_t next = 0;
-  for (SharedComponent& shared : ComputeSharedComponents(t, index, w.users)) {
+  for (SharedComponent& shared : ComputeSharedComponents(t, w.graph, w.users)) {
     owned[next++ % num_shards].push_back(std::move(shared));
   }
   std::vector<std::vector<std::pair<PostId, UserId>>> shard_deliveries(
@@ -377,10 +376,9 @@ std::vector<std::pair<PostId, UserId>> RunComponentShards(
   std::vector<std::thread> workers;
   workers.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    workers.emplace_back([algorithm, &w, &index, &owned, &shard_deliveries,
-                          s] {
+    workers.emplace_back([algorithm, &w, &owned, &shard_deliveries, s] {
       // Built on the thread that decides with it, as a serve shard is.
-      ComponentSet set(algorithm, w.graph, index, std::move(owned[s]));
+      ComponentSet set(algorithm, w.graph, std::move(owned[s]));
       std::vector<MultiUserEngine::BatchDelivery> batch;
       set.OfferBatch(std::span<const Post>(w.stream), &batch);
       for (const MultiUserEngine::BatchDelivery& d : batch) {

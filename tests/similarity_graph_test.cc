@@ -1,9 +1,21 @@
 #include "src/author/similarity_graph.h"
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace firehose {
 namespace {
+
+using testing_util::NeighborList;
 
 AuthorGraph MakePaperFigure5Graph() {
   // Figure 5a: a1-a2, a1-a3, a2-a3 triangle plus a3-a4 (ids shifted to 0).
@@ -24,8 +36,8 @@ TEST(AuthorGraphTest, FromEdgesBasics) {
   const AuthorGraph g = MakePaperFigure5Graph();
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_EQ(g.Neighbors(0), (std::vector<AuthorId>{1, 2}));
-  EXPECT_EQ(g.Neighbors(2), (std::vector<AuthorId>{0, 1, 3}));
+  EXPECT_EQ(NeighborList(g, 0), (std::vector<AuthorId>{1, 2}));
+  EXPECT_EQ(NeighborList(g, 2), (std::vector<AuthorId>{0, 1, 3}));
 }
 
 TEST(AuthorGraphTest, IsNeighborSymmetric) {
@@ -116,67 +128,130 @@ TEST(AuthorGraphTest, ComponentsPartitionTheVertexSet) {
   EXPECT_EQ(total, g.num_vertices());
 }
 
-TEST(AuthorGraphMutationTest, AddVertexAndEdge) {
-  AuthorGraph g = MakePaperFigure5Graph();
-  g.AddVertex(7);
-  EXPECT_TRUE(g.HasVertex(7));
-  EXPECT_EQ(g.num_vertices(), 5u);
-  g.AddVertex(7);  // idempotent
-  EXPECT_EQ(g.num_vertices(), 5u);
-  EXPECT_TRUE(g.AddEdge(7, 0));
-  EXPECT_TRUE(g.IsNeighbor(0, 7));
-  EXPECT_TRUE(g.IsNeighbor(7, 0));
-  EXPECT_EQ(g.num_edges(), 5u);
+/// A naive model of an undirected graph: its vertex set and its edges as
+/// ordered pairs (u < v).
+struct PairModel {
+  std::set<AuthorId> vertices;
+  std::set<std::pair<AuthorId, AuthorId>> edges;
+
+  /// The model of FromEdges(vertices, edges): self-loops, repeats and
+  /// edges with an endpoint outside `vertices` dropped.
+  PairModel(const std::vector<AuthorId>& vertex_list,
+            const std::vector<std::pair<AuthorId, AuthorId>>& edge_list)
+      : vertices(vertex_list.begin(), vertex_list.end()) {
+    for (auto [a, b] : edge_list) {
+      if (a != b && vertices.count(a) != 0 && vertices.count(b) != 0) {
+        edges.insert(std::minmax(a, b));
+      }
+    }
+  }
+
+  /// The model of the subgraph induced by `subset`.
+  PairModel Induced(const std::vector<AuthorId>& subset) const {
+    PairModel sub({}, {});
+    sub.vertices.insert(subset.begin(), subset.end());
+    for (const auto& edge : edges) {
+      if (sub.vertices.count(edge.first) != 0 &&
+          sub.vertices.count(edge.second) != 0) {
+        sub.edges.insert(edge);
+      }
+    }
+    return sub;
+  }
+
+  std::vector<AuthorId> Neighbors(AuthorId a) const {
+    std::vector<AuthorId> out;
+    for (const auto& [u, v] : edges) {
+      if (u == a) out.push_back(v);
+      if (v == a) out.push_back(u);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// Components by union-find, each sorted, ordered by smallest vertex.
+  std::vector<std::vector<AuthorId>> Components() const {
+    std::map<AuthorId, AuthorId> parent;
+    for (AuthorId a : vertices) parent[a] = a;
+    auto find = [&](AuthorId a) {
+      while (parent[a] != a) a = parent[a] = parent[parent[a]];
+      return a;
+    };
+    for (const auto& [u, v] : edges) parent[find(u)] = find(v);
+    std::map<AuthorId, std::vector<AuthorId>> by_root;
+    for (AuthorId a : vertices) by_root[find(a)].push_back(a);
+    std::vector<std::vector<AuthorId>> out;
+    for (auto& [root, members] : by_root) out.push_back(std::move(members));
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+};
+
+/// Checks every query of `g` against `model`, probing `probes` (vertices
+/// and ids the graph lacks alike).
+void ExpectMatchesModel(const AuthorGraph& g, const PairModel& model,
+                        const std::vector<AuthorId>& probes) {
+  EXPECT_EQ(g.vertices(), std::vector<AuthorId>(model.vertices.begin(),
+                                                model.vertices.end()));
+  EXPECT_EQ(g.num_edges(), model.edges.size());
+  for (AuthorId a : probes) {
+    EXPECT_EQ(g.HasVertex(a), model.vertices.count(a) != 0) << a;
+    EXPECT_EQ(NeighborList(g, a), model.Neighbors(a)) << a;
+    for (AuthorId b : probes) {
+      EXPECT_EQ(g.IsNeighbor(a, b),
+                model.edges.count(std::minmax(a, b)) != 0)
+          << a << " " << b;
+    }
+  }
+  EXPECT_EQ(g.ConnectedComponents(), model.Components());
 }
 
-TEST(AuthorGraphMutationTest, AddEdgeRejections) {
-  AuthorGraph g = MakePaperFigure5Graph();
-  EXPECT_FALSE(g.AddEdge(0, 0));   // self loop
-  EXPECT_FALSE(g.AddEdge(0, 1));   // duplicate
-  EXPECT_FALSE(g.AddEdge(0, 42));  // unknown endpoint
-  EXPECT_EQ(g.num_edges(), 4u);
-}
+TEST(AuthorGraphPropertyTest, MatchesASetOfPairsModel) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // Sparse ids, with the extremes of the id space in some graphs.
+    std::vector<AuthorId> ids;
+    const size_t n = rng.UniformInt(25);
+    if (seed % 3 == 0) ids.push_back(0);
+    if (seed % 4 == 0) ids.push_back(UINT32_MAX);
+    while (ids.size() < n) {
+      ids.push_back(static_cast<AuthorId>(rng.UniformInt(1u << 16)) * 7919);
+    }
+    // Ids the graph lacks: endpoints of foreign edges, absent subset
+    // members and probes.
+    std::vector<AuthorId> foreign;
+    for (int k = 0; k < 4; ++k) {
+      foreign.push_back(static_cast<AuthorId>(rng.UniformInt(1u << 16)) *
+                            7919 + 1);
+    }
+    std::vector<AuthorId> pool = ids;
+    pool.insert(pool.end(), foreign.begin(), foreign.end());
+    // Vertices may repeat; edges include self-loops, repeats in both
+    // orientations and foreign endpoints.
+    std::vector<AuthorId> vertex_list = ids;
+    if (!ids.empty()) vertex_list.push_back(ids[rng.UniformInt(ids.size())]);
+    std::vector<std::pair<AuthorId, AuthorId>> edge_list;
+    const double p = 0.05 + 0.05 * static_cast<double>(seed % 6);
+    for (AuthorId a : pool) {
+      for (AuthorId b : pool) {
+        if (rng.Bernoulli(p)) edge_list.emplace_back(a, b);
+      }
+    }
+    const AuthorGraph g = AuthorGraph::FromEdges(vertex_list, edge_list);
+    const PairModel model(vertex_list, edge_list);
+    ExpectMatchesModel(g, model, pool);
 
-TEST(AuthorGraphMutationTest, RemoveEdge) {
-  AuthorGraph g = MakePaperFigure5Graph();
-  EXPECT_TRUE(g.RemoveEdge(0, 1));
-  EXPECT_FALSE(g.IsNeighbor(0, 1));
-  EXPECT_FALSE(g.IsNeighbor(1, 0));
-  EXPECT_EQ(g.num_edges(), 3u);
-  EXPECT_FALSE(g.RemoveEdge(0, 1));  // already gone
-  EXPECT_FALSE(g.RemoveEdge(0, 42));
-}
-
-TEST(AuthorGraphMutationTest, RemoveVertexDropsIncidentEdges) {
-  AuthorGraph g = MakePaperFigure5Graph();
-  EXPECT_TRUE(g.RemoveVertex(2));  // degree-3 bridge vertex
-  EXPECT_FALSE(g.HasVertex(2));
-  EXPECT_EQ(g.num_vertices(), 3u);
-  EXPECT_EQ(g.num_edges(), 1u);  // only {0,1} survives
-  EXPECT_TRUE(g.Neighbors(3).empty());
-  EXPECT_FALSE(g.RemoveVertex(2));
-}
-
-TEST(AuthorGraphMutationTest, AdjacencyStaysSorted) {
-  AuthorGraph g = AuthorGraph::FromEdges({0, 1, 2, 3, 4}, {});
-  EXPECT_TRUE(g.AddEdge(2, 4));
-  EXPECT_TRUE(g.AddEdge(2, 0));
-  EXPECT_TRUE(g.AddEdge(2, 3));
-  EXPECT_EQ(g.Neighbors(2), (std::vector<AuthorId>{0, 3, 4}));
-}
-
-TEST(AuthorGraphMutationTest, MutatedGraphMatchesFromEdges) {
-  AuthorGraph incremental = AuthorGraph::FromEdges({0, 1, 2, 3}, {});
-  incremental.AddEdge(0, 1);
-  incremental.AddEdge(0, 2);
-  incremental.AddEdge(1, 2);
-  incremental.AddEdge(2, 3);
-  incremental.RemoveEdge(0, 2);
-  const AuthorGraph direct =
-      AuthorGraph::FromEdges({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}});
-  EXPECT_EQ(incremental.num_edges(), direct.num_edges());
-  for (AuthorId a : direct.vertices()) {
-    EXPECT_EQ(incremental.Neighbors(a), direct.Neighbors(a));
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<AuthorId> subset;
+      for (AuthorId a : pool) {
+        if (rng.Bernoulli(0.5)) subset.push_back(a);
+        if (rng.Bernoulli(0.1)) subset.push_back(a);  // a repeat
+      }
+      rng.Shuffle(subset);
+      ExpectMatchesModel(g.InducedSubgraph(subset), model.Induced(subset),
+                         pool);
+    }
   }
 }
 

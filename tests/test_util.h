@@ -83,6 +83,13 @@ inline std::vector<PostId> ReferenceDiversify(const PostStream& stream,
   return admitted;
 }
 
+/// `a`'s neighbors in `graph`, copied out of the row view.
+inline std::vector<AuthorId> NeighborList(const AuthorGraph& graph,
+                                          AuthorId a) {
+  const AuthorGraph::NeighborView view = graph.Neighbors(a);
+  return std::vector<AuthorId>(view.begin(), view.end());
+}
+
 /// Random Erdős–Rényi-ish author graph over `num_authors` vertices.
 inline AuthorGraph RandomAuthorGraph(int num_authors, double edge_prob,
                                      Rng& rng) {
